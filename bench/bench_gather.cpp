@@ -1,13 +1,10 @@
-// The locality-aware memory subsystem's two perf rows:
+// The staged executor's and the memory subsystem's perf rows:
 //
-//  * SIMD staged gather (loop_options::simd_gather): an airfoil-
-//    res_calc-shaped loop — dim-4 and dim-2 double operands read
-//    indirectly through an edges->cells map — run on the staged backend
-//    with the vectorised gather (read-only operands staged into
-//    cache-line-aligned scratch by unrolled fixed-stride copy kernels,
-//    then consumed as a pointer bump) against the scalar per-element
-//    staged resolution. The two paths are bitwise-identical by
-//    construction; the bench asserts that before it reports anything.
+//  * Staged gather and scatter: an airfoil-res_calc-shaped loop —
+//    dim-4 and dim-2 double operands read indirectly through an
+//    edges->cells map — and its write side, two indirect OP_INC slots
+//    on one dim-2 dat, each run on the staged backend through the
+//    plan's pre-resolved gather tables.
 //
 //  * Partition-affine first touch (OP2HPX_FIRST_TOUCH /
 //    memory::set_first_touch): the bench_dataflow_chain partition sweep
@@ -18,25 +15,14 @@
 //    (parity is expected on small machines); the row exists so the
 //    trajectory shows the effect the day CI lands on bigger iron.
 //
-//  * SIMD INC scatter (loop_options::simd_scatter): the write-side
-//    twin of the staged gather — indirect OP_INC operands accumulate
-//    into block-private scratch and scatter back through unrolled
-//    fixed-stride kernels in colour order, vs the scalar per-element
-//    increments. Bitwise-identical by construction; asserted before
-//    reporting, like the gather.
-//
 //  * Chain fusion (loop_options::fuse): a direct producer/consumer
 //    loop pair (save_soln/adt_calc shape) issued fused vs unfused on
 //    the dataflow backend — fusion halves the graph nodes and pins the
 //    intermediate dat hot between the merged passes.
 //
 // Emits into BENCH_op2.json (schema op2hpx-bench-v1):
-//   gather_simd            ns/iter, staged loop, SIMD gather on
-//   gather_scalar          ns/iter, staged loop, per-element oracle
-//   simd_gather_speedup    x, simd vs scalar
-//   scatter_simd           ns/iter, staged INC loop, SIMD scatter on
-//   scatter_scalar         ns/iter, staged INC loop, scalar oracle
-//   simd_scatter_speedup   x, simd vs scalar
+//   gather_scalar          ns/iter, staged indirect-read loop
+//   scatter_scalar         ns/iter, staged indirect INC loop
 //   fusion_fused           ns/pair, direct loop pair, fused pass
 //   fusion_unfused         ns/pair, direct loop pair, two solo issues
 //   fusion_speedup         x, fused vs unfused
@@ -71,11 +57,10 @@ int g_chains = 30;  // (--quick: 5)
 
 double time_gather_loop(op_set const& edges, op_dat& q, op_dat& x,
                         op_dat& out, op_map const& ec, op_map const& en,
-                        bool simd, int iters) {
+                        int iters) {
     loop_options o;
     o.backend = exec::backend_kind::staged;
     o.part_size = 256;
-    o.simd_gather = simd;
     auto kern = [](double const* qa, double const* qb, double const* xa,
                    double* r) {
         r[0] = qa[0] + qb[3] + xa[0] * 0.5;
@@ -99,18 +84,12 @@ double time_gather_loop(op_set const& edges, op_dat& q, op_dat& x,
 }
 
 /// The res_calc write side: two indirect INC slots on one dim-2 dat,
-/// reading node coordinates. Zeroes the accumulator first so the two
-/// variants integrate identical streams for the bitwise oracle.
+/// reading node coordinates.
 double time_scatter_loop(op_set const& edges, op_dat& x, op_dat& acc,
-                         op_map const& ec, op_map const& en, bool simd,
-                         int iters) {
-    for (auto& v : acc.view<double>()) {
-        v = 0.0;
-    }
+                         op_map const& ec, op_map const& en, int iters) {
     loop_options o;
     o.backend = exec::backend_kind::staged;
     o.part_size = 256;
-    o.simd_scatter = simd;
     auto kern = [](double const* xa, double const* xb, double* r0,
                    double* r1) {
         double const dx = xa[0] - xb[0];
@@ -220,7 +199,7 @@ int main(int argc, char** argv) {
         std::to_string(nworkers) + " workers";
     benchutil::bench_log log("bench_gather");
 
-    // --- SIMD staged gather vs scalar oracle ---------------------------
+    // --- staged gather and scatter -----------------------------------
     std::mt19937 rng(1234);
     std::uniform_int_distribution<int> cd(0, kCells - 1);
     std::vector<int> ec_tab(2 * kEdges);
@@ -248,60 +227,22 @@ int main(int argc, char** argv) {
     auto q = op_decl_dat<double>(cells, 4, "double", qv, "g_q");
     auto x = op_decl_dat<double>(nodes, 2, "double", xv, "g_x");
     auto out = op_decl_dat_zero<double>(edges, 2, "double", "g_out");
-
-    double const scalar_ns =
-        time_gather_loop(edges, q, x, out, ec, en, false, g_gather_iters);
-    std::vector<double> scalar_out(out.view<double>().begin(),
-                                   out.view<double>().end());
-    double const simd_ns =
-        time_gather_loop(edges, q, x, out, ec, en, true, g_gather_iters);
-    // Bitwise oracle check before reporting: the SIMD path copies bytes,
-    // it must not change a single bit of the result.
-    if (std::memcmp(scalar_out.data(), out.view<double>().data(),
-                    scalar_out.size() * sizeof(double)) != 0) {
-        std::fprintf(stderr,
-                     "FAIL: SIMD gather diverged from the scalar path\n");
-        return 1;
-    }
-    std::printf("staged gather (%zu edges, dim-4 + dim-2 reads, %s):\n",
-                kEdges, workers_label.c_str());
-    std::printf("  scalar staged   : %12.1f ns/iter\n", scalar_ns);
-    std::printf("  simd gather     : %12.1f ns/iter\n", simd_ns);
-    std::printf("  speedup         : %12.2fx\n", scalar_ns / simd_ns);
-    log.add("gather_scalar", scalar_ns, "ns/iter",
-            "staged indirect loop, per-element gather, " + workers_label);
-    log.add("gather_simd", simd_ns, "ns/iter",
-            "staged indirect loop, SIMD gather, " + workers_label);
-    log.add("simd_gather_speedup", scalar_ns / simd_ns, "x",
-            "simd_vs_scalar_staged_gather, " + workers_label);
-
-    // --- SIMD INC scatter vs scalar oracle -----------------------------
     auto acc = op_decl_dat_zero<double>(cells, 2, "double", "g_acc");
-    double const sc_scalar_ns =
-        time_scatter_loop(edges, x, acc, ec, en, false, g_gather_iters);
-    std::vector<double> scalar_acc(acc.view<double>().begin(),
-                                   acc.view<double>().end());
-    double const sc_simd_ns =
-        time_scatter_loop(edges, x, acc, ec, en, true, g_gather_iters);
-    // Bitwise oracle: the scatter drains block-private partials in the
-    // exact element order the scalar path increments in.
-    if (std::memcmp(scalar_acc.data(), acc.view<double>().data(),
-                    scalar_acc.size() * sizeof(double)) != 0) {
-        std::fprintf(stderr,
-                     "FAIL: SIMD scatter diverged from the scalar path\n");
-        return 1;
-    }
-    std::printf("staged scatter (%zu edges, two dim-2 INC slots, %s):\n",
-                kEdges, workers_label.c_str());
-    std::printf("  scalar scatter  : %12.1f ns/iter\n", sc_scalar_ns);
-    std::printf("  simd scatter    : %12.1f ns/iter\n", sc_simd_ns);
-    std::printf("  speedup         : %12.2fx\n", sc_scalar_ns / sc_simd_ns);
-    log.add("scatter_scalar", sc_scalar_ns, "ns/iter",
+
+    double const gather_ns =
+        time_gather_loop(edges, q, x, out, ec, en, g_gather_iters);
+    double const scatter_ns =
+        time_scatter_loop(edges, x, acc, ec, en, g_gather_iters);
+    std::printf("staged indirect loops (%zu edges, %s):\n", kEdges,
+                workers_label.c_str());
+    std::printf("  gather (dim-4 + dim-2 reads) : %12.1f ns/iter\n",
+                gather_ns);
+    std::printf("  scatter (two dim-2 INC slots): %12.1f ns/iter\n",
+                scatter_ns);
+    log.add("gather_scalar", gather_ns, "ns/iter",
+            "staged indirect loop, per-element gather, " + workers_label);
+    log.add("scatter_scalar", scatter_ns, "ns/iter",
             "staged indirect INC loop, scalar scatter, " + workers_label);
-    log.add("scatter_simd", sc_simd_ns, "ns/iter",
-            "staged indirect INC loop, SIMD scatter, " + workers_label);
-    log.add("simd_scatter_speedup", sc_scalar_ns / sc_simd_ns, "x",
-            "simd_vs_scalar_staged_scatter, " + workers_label);
 
     // --- chain fusion --------------------------------------------------
     auto fu_cells = op_decl_set(kChainElems, "fu_cells");

@@ -14,7 +14,8 @@ struct app_config {
     int niter = 100;  ///< outer pseudo-time iterations (paper: 1000)
     op2::backend be = op2::backend::seq;
     op2::loop_options opts;
-    /// Record sqrt(rms/ncell) every `rms_stride` iterations (>=1).
+    /// Record sqrt(rms/(2*ncell)) every `rms_stride` iterations (>=1),
+    /// and always after the last iteration.
     int rms_stride = 1;
     /// Allocate the problem's dats with partition-affine first touch
     /// (op2/memory.hpp): each set partition's pages are initialised on
@@ -38,6 +39,9 @@ struct app_config {
 /// Outcome of one run.
 struct app_result {
     std::vector<double> rms_history;  ///< sampled residual trajectory
+    /// The 1-based iteration each rms_history entry was recorded after:
+    /// every multiple of rms_stride, plus niter itself.
+    std::vector<int> rms_iters;
     double final_rms = 0.0;
     double elapsed_s = 0.0;           ///< wall-clock of the iteration loop
     std::vector<double> q_final;      ///< final conserved state (ncell*4)
@@ -62,9 +66,10 @@ problem make_problem(mesh const& m);
 /// backend:
 ///  * seq / fork_join: loops execute synchronously (fork_join has the
 ///    OpenMP-style global barrier after every loop);
-///  * hpx: all 2*niter*5 loops are *issued* up front and chained through
-///    dat futures (dataflow interleaving, Section IV); the run fences at
-///    the end.
+///  * hpx: all 9*niter loops (per iteration: save_soln, then adt_calc,
+///    res_calc, bres_calc and update twice) are *issued* up front and
+///    chained through the dats' dependency records (dataflow
+///    interleaving, Section IV); the run fences at the end.
 app_result run(app_config const& cfg);
 
 /// Convenience: run on an existing problem (shared by tests/benches).

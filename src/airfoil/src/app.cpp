@@ -176,6 +176,7 @@ app_result run(problem& p, app_config const& cfg) {
             result.rms_history.push_back(
                 std::sqrt(rms[static_cast<std::size_t>(it)] /
                           static_cast<double>(2 * p.ncell)));
+            result.rms_iters.push_back(it + 1);
         }
     }
     result.final_rms = result.rms_history.empty() ? 0.0

@@ -451,11 +451,17 @@ public:
         }
     }
 
+    /// Storage for the per-partition colour-chain tails of an issue
+    /// (see chain_tails); kept with the group so a pooled re-issue
+    /// allocates nothing.
+    [[nodiscard]] std::vector<node_ref>& tail_storage() noexcept {
+        return tails_;
+    }
+
     /// Register a dat element span partition p's failure would taint.
-    /// Issue-side only, and all of partition p's targets land before
-    /// p's first sub-node is issued — the only writer racing a
-    /// potential reader (poison_partition) is pushing to a *different*
-    /// partition's inner vector of the pre-sized outer one.
+    /// Issue-side only, and every partition's targets land before the
+    /// loop's first sub-node is issued, so no failing sub-node can read
+    /// a vector that is still growing.
     void add_quarantine_target(std::size_t p, quarantine_target t) {
         qtargets_[p].push_back(t);
     }
@@ -496,6 +502,7 @@ private:
     std::unique_ptr<std::atomic<std::size_t>[]> colors_left_;
     std::size_t color_cap_ = 0;
     std::vector<std::vector<quarantine_target>> qtargets_;  // [partition]
+    std::vector<node_ref> tails_;  // [partition], empty between issues
     tune::probe probe_{};
     std::atomic<std::int64_t> start_ns_{-1};
     // Issuing context, captured at construction/reset: holds the
@@ -799,29 +806,129 @@ loop_handle issue_whole_set(loop_options const& opts, char const* name,
 /// every kernel instantiation, so ids never repeat between loops.
 inline std::atomic<std::uint64_t> g_exemption_loop_seq{1};
 
+/// Non-empty colour classes of a partition plan: global colouring can
+/// leave a partition with sparse classes, and empty ones get no
+/// sub-node.
+[[nodiscard]] inline std::size_t live_colors(op_plan const& plan) {
+    std::size_t live = 0;
+    for (std::size_t c = 0; c < plan.ncolors; ++c) {
+        if (!plan.blocks_of_color(c).empty()) {
+            ++live;
+        }
+    }
+    return live;
+}
+
+/// Visit every live (partition, colour) sub-node slot of a partitioned
+/// loop in issue order: colour-major — colour 0 of every partition,
+/// then colour 1 of every partition, and so on. `plan_of(p)` is
+/// partition p's plan.
+template <typename PlanOf, typename Visit>
+void for_each_sub_node(std::size_t nparts, PlanOf const& plan_of,
+                       Visit&& visit) {
+    std::size_t ncolors = 0;
+    for (std::size_t p = 0; p < nparts; ++p) {
+        ncolors = std::max(ncolors, plan_of(p).ncolors);
+    }
+    for (std::size_t c = 0; c < ncolors; ++c) {
+        for (std::size_t p = 0; p < nparts; ++p) {
+            op_plan const& plan = plan_of(p);
+            if (c < plan.ncolors && !plan.blocks_of_color(c).empty()) {
+                visit(p, c);
+            }
+        }
+    }
+}
+
+/// Call `f(q)` for every partition q of `a`'s dat that partition p of
+/// the loop can reach: the iteration partition itself for a direct
+/// argument, the plan's map-derived footprint for an indirect one, and
+/// (conservatively — a partition plan always carries its footprints)
+/// every partition when the footprint is missing.
+template <typename F>
+void for_each_reached_part(op_arg const& a, op_plan const& plan,
+                           std::size_t p, std::size_t nparts, F&& f) {
+    if (a.is_direct()) {
+        f(p);
+    } else if (plan_footprint const* fp =
+                   plan.find_footprint(a.map.id(), a.idx)) {
+        for (std::uint32_t q : fp->parts) {
+            f(std::size_t{q});
+        }
+    } else {
+        for (std::size_t q = 0; q < nparts; ++q) {
+            f(q);
+        }
+    }
+}
+
+/// Add one (record, access) request of sub-node colour `c` to `reqs`,
+/// merging a record the sub-node already requested (write dominates).
+inline void add_request(std::vector<dep_request>& reqs, dep_record* rec,
+                        bool write, std::uint64_t loop_tag, std::size_t c) {
+    for (auto& r : reqs) {
+        if (r.rec == rec) {
+            r.write = r.write || write;
+            return;
+        }
+    }
+    reqs.push_back({rec, write, loop_tag, static_cast<std::uint32_t>(c)});
+}
+
+/// The per-partition tails of a loop's colour chains while its
+/// sub-nodes are issued. The storage is borrowed (a pooled group's, so
+/// a steady-state issue allocates nothing) and the tails are dropped
+/// when the issue ends: a sub-node references its group, so a group
+/// that kept its sub-nodes would never retire.
+class chain_tails {
+public:
+    chain_tails(std::vector<node_ref>& v, std::size_t nparts) : v_(v) {
+        v_.resize(nparts);
+    }
+    chain_tails(chain_tails const&) = delete;
+    chain_tails& operator=(chain_tails const&) = delete;
+    ~chain_tails() {
+        for (auto& t : v_) {
+            t.reset();
+        }
+    }
+    [[nodiscard]] node_ref& operator[](std::size_t p) noexcept {
+        return v_[p];
+    }
+
+private:
+    std::vector<node_ref>& v_;
+};
+
 /// Partition-granular issue: the loop becomes one sub-node per
 /// (partition, colour) plus a join node. Each sub-node edges on exactly
 /// the dat partitions it can reach — the iteration partition itself for
 /// direct args, the plan's map-derived footprint for indirect ones — so
 /// independent partitions of dependent loops, and independent colours
-/// of different loops, overlap in the epoch graph. Sub-nodes are issued
-/// in (partition, colour) order; conflicting sub-nodes always share at
-/// least one dat-partition record (a conflict is a shared target
-/// element, and the element's partition record orders its writers by
-/// issue order), so program order is preserved wherever it matters.
+/// of different loops, overlap in the epoch graph. Conflicting
+/// sub-nodes always share at least one dat-partition record (a conflict
+/// is a shared target element, and the element's partition record
+/// orders its writers by issue order), so program order is preserved
+/// wherever it matters.
 ///
-/// Two per-loop refinements ride on that structure:
-///  * placement (opts.placement == affinity): partition p's sub-nodes
-///    carry the worker hint p % pool_size, so a partition's working set
-///    keeps landing on the same worker across the loops of a chain;
-///  * the same-colour non-conflict exemption (opts.color_exemption):
-///    partition plans are coloured globally, so same-coloured sub-nodes
-///    of THIS loop provably never mutate the same target element and
-///    skip the conservative WAW record edges between each other —
-///    boundary-straddling INC partitions of a single loop overlap. A
-///    partition's own sub-nodes are still chained in colour order
-///    (deterministic scratch prepare, single-threaded per-partition
-///    executor), so the won concurrency is across partitions.
+/// Sub-nodes are issued colour-major: colour 0 of every partition, then
+/// colour 1 of every partition, and so on, with each partition's own
+/// sub-nodes chained in colour order (deterministic scratch prepare,
+/// single-threaded per-partition executor). Under the same-colour
+/// non-conflict exemption (opts.color_exemption) partition plans are
+/// coloured globally, so same-coloured sub-nodes of THIS loop provably
+/// never mutate the same target element and skip the WAW record edges
+/// between each other; only different-colour members of the loop's
+/// write burst edge. Issued colour-major, colour c + 1 of a partition
+/// therefore waits only on colour c (and lower) of the neighbours whose
+/// footprint records it shares — a point-to-point colour wavefront. (A
+/// partition-major order would make every partition's colour 0 wait on
+/// the previous partition's last colour through the shared records,
+/// running the partitions of an INC loop one after another.)
+///
+/// Placement (opts.placement == affinity) gives partition p's sub-nodes
+/// the worker hint p % pool_size, so a partition's working set keeps
+/// landing on the same worker across the loops of a chain.
 ///
 /// With nloc > 1 the partitions are grouped into logical localities
 /// (op2/comm.hpp) and every indirect argument's halo regions travel
@@ -865,22 +972,14 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
 
     // Resolve every partition plan (and bind the executors) up front, so
     // nothing below the first sub-node issue can throw. The colour
-    // countdown counts *live* (non-empty) colours only: global colouring
-    // can leave a partition plan with sparse colour classes, and empty
-    // ones get no sub-node.
+    // countdown counts *live* (non-empty) colours only.
     for (std::size_t p = 0; p < nparts; ++p) {
         op_plan const& plan = plan_get(
             set, grp->executor(0).args(),
             plan_desc{opts.part_size, opts.staged_gather, nparts, p});
         grp->bind_plan(plan);
         grp->executor(p).setup(plan);
-        std::size_t live = 0;
-        for (std::size_t c = 0; c < plan.ncolors; ++c) {
-            if (!plan.blocks_of_color(c).empty()) {
-                ++live;
-            }
-        }
-        grp->init_colors(p, live);
+        grp->init_colors(p, live_colors(plan));
     }
 
     // Distinct dats of the loop, with their record tables pinned at
@@ -975,7 +1074,6 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
     // quarantined in turn.)
     std::exception_ptr const qerr =
         check_quarantine(grp->executor(0).args(), name);
-    auto const iter_part = set.partition(nparts);
 
     bool const affinity = opts.placement == placement_kind::affinity;
     std::uint64_t const loop_tag =
@@ -983,130 +1081,82 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
             ? g_exemption_loop_seq.fetch_add(1, std::memory_order_relaxed)
             : 0;
 
-    // Reused across issues (and across the (partition, colour) loop
-    // below): request counts are small and issue() consumes the span
+    // Partition p's quarantine targets: the dat element spans a failure
+    // of any of p's sub-nodes may have half-written — the spans of the
+    // dat partitions p reaches through each written argument. Every
+    // partition's targets are registered before the first sub-node is
+    // issued (a sub-node can fail the instant it is wired).
+    for (std::size_t p = 0; p < nparts; ++p) {
+        for (op_arg const& a : grp->executor(0).args()) {
+            if (!a.dat.valid() || a.acc == op_access::OP_READ) {
+                continue;
+            }
+            auto const* impl = &a.dat.internal();
+            auto const dp = a.dat.set().partition(nparts);
+            for_each_reached_part(a, grp->plan(p), p, nparts,
+                                  [&](std::size_t q) {
+                                      grp->add_quarantine_target(
+                                          p, {impl, dp->begin(q),
+                                              dp->end(q)});
+                                  });
+        }
+    }
+
+    // Reused across issues (and across the sub-node loop below):
+    // request counts are small and issue() consumes the span
     // synchronously, so one thread-local buffer per thread suffices and
     // the per-issue allocation disappears.
     static thread_local std::vector<dep_request> reqs;
-    for (std::size_t p = 0; p < nparts; ++p) {
+    chain_tails tails(grp->tail_storage(), nparts);
+    for_each_sub_node(nparts, [&](std::size_t p) -> op_plan const& {
+        return grp->plan(p);
+    }, [&](std::size_t p, std::size_t c) {
         op_plan const& plan = grp->plan(p);
-
-        // Partition p's quarantine targets: the dat element spans a
-        // failure of any of p's sub-nodes may have half-written —
-        // direct args taint the iteration partition's own span,
-        // indirect ones the spans of the footprint's dat partitions.
-        // Registered before p's first sub-node is issued (a sub-node
-        // can fail the instant it is wired).
-        {
-            std::size_t j = 0;
-            for (op_arg const& a : grp->executor(0).args()) {
-                std::size_t const i = arg_dat[j++];
-                if (i == static_cast<std::size_t>(-1) ||
-                    a.acc == op_access::OP_READ) {
-                    continue;
-                }
-                auto const* impl = &a.dat.internal();
-                if (a.is_direct()) {
-                    grp->add_quarantine_target(
-                        p, {impl, iter_part->begin(p), iter_part->end(p)});
-                } else if (plan_footprint const* fp =
-                               plan.find_footprint(a.map.id(), a.idx)) {
-                    auto const dp = a.dat.set().partition(nparts);
-                    for (std::uint32_t q : fp->parts) {
-                        grp->add_quarantine_target(
-                            p, {impl, dp->begin(q), dp->end(q)});
-                    }
-                } else {
-                    grp->add_quarantine_target(
-                        p, {impl, 0, a.dat.set().size()});
-                }
-            }
+        node_ref& tail = tails[p];
+        auto* sub = new part_node<Kernel, N>(grp, p, c, /*first=*/!tail);
+        node_ref sref(sub, /*adopt=*/true);
+        sub->set_site(name, p, c);
+        if (qerr) {
+            sub->seed_error(qerr);
+        }
+        join->depend_on(*sub);
+        if (affinity) {
+            sub->set_worker_hint(p % pool.size());
+        }
+        if (tail) {
+            // Chain the partition's own sub-nodes in colour order:
+            // global colouring no longer guarantees that a partition's
+            // colours conflict pairwise, and the per-partition executor
+            // (scratch prepare, per-block reduction partials) expects
+            // one sub-node at a time.
+            sub->depend_on(*tail);
         }
 
-        node_ref chain_prev;
-        for (std::size_t c = 0; c < plan.ncolors; ++c) {
-            if (plan.blocks_of_color(c).empty()) {
-                continue;  // sparse global colour class: nothing to run
+        reqs.clear();
+        std::size_t j = 0;
+        for (op_arg const& a : grp->executor(0).args()) {
+            std::size_t const i = arg_dat[j++];
+            if (i == static_cast<std::size_t>(-1)) {
+                continue;
             }
-            auto* sub =
-                new part_node<Kernel, N>(grp, p, c, /*first=*/!chain_prev);
-            node_ref sref(sub, /*adopt=*/true);
-            sub->set_site(name, p, c);
-            if (qerr) {
-                sub->seed_error(qerr);
-            }
-            join->depend_on(*sub);
-            if (affinity) {
-                sub->set_worker_hint(p % pool.size());
-            }
-            if (chain_prev) {
-                // Chain the partition's own sub-nodes in colour order:
-                // global colouring no longer guarantees that a
-                // partition's colours conflict pairwise, and the
-                // per-partition executor (scratch prepare, per-block
-                // reduction partials) expects one sub-node at a time.
-                sub->depend_on(*chain_prev);
-            }
-
-            reqs.clear();
-            // reqs has thread-local storage, so the lambda names it
-            // directly (non-automatic variables cannot be captured).
-            auto add = [loop_tag, c](dep_record* rec, bool write) {
-                for (auto& r : reqs) {
-                    if (r.rec == rec) {
-                        r.write = r.write || write;
-                        return;
-                    }
-                }
-                reqs.push_back({rec, write, loop_tag,
-                                static_cast<std::uint32_t>(c)});
-            };
-            std::size_t j = 0;
-            for (op_arg const& a : grp->executor(0).args()) {
-                std::size_t const i = arg_dat[j++];
-                if (i == static_cast<std::size_t>(-1)) {
-                    continue;
-                }
-                bool const write = a.acc != op_access::OP_READ;
-                if (a.is_direct()) {
-                    add(&dats[i].pin.records()[p], write);
-                } else if (plan_footprint const* fp =
-                               plan.find_footprint(a.map.id(), a.idx)) {
-                    for (std::uint32_t q : fp->parts) {
-                        add(&dats[i].pin.records()[q], write);
-                    }
-                } else {
-                    // No footprint (should not happen): conservatively
-                    // edge on every partition of the dat.
-                    for (std::size_t q = 0; q < nparts; ++q) {
-                        add(&dats[i].pin.records()[q], write);
-                    }
-                }
-            }
-            if (halos.active()) {
+            bool const write = a.acc != op_access::OP_READ;
+            for_each_reached_part(a, plan, p, nparts, [&](std::size_t q) {
+                add_request(reqs, &dats[i].pin.records()[q], write,
+                            loop_tag, c);
+            });
+            if (halos.active() && a.is_indirect() &&
+                (a.acc == op_access::OP_READ || a.acc == op_access::OP_RW)) {
                 // Halo-reading sub-node: wait for the landed imports of
                 // exactly the regions this partition's edges reach.
                 // Interior sub-nodes (no cross-locality edge) take no
                 // comm dependency — that is the overlap property.
-                std::size_t j2 = 0;
-                for (op_arg const& a : grp->executor(0).args()) {
-                    std::size_t const i = arg_dat[j2++];
-                    if (i == static_cast<std::size_t>(-1) ||
-                        !a.is_indirect()) {
-                        continue;
-                    }
-                    if (a.acc == op_access::OP_READ ||
-                        a.acc == op_access::OP_RW) {
-                        halos.depend_imports(*sub, a.dat, a.map, p);
-                    }
-                }
+                halos.depend_imports(*sub, a.dat, a.map, p);
             }
-            issue(*sub, std::span<dep_request const>{reqs.data(),
-                                                     reqs.size()},
-                  pool);
-            chain_prev = std::move(sref);
         }
-    }
+        issue(*sub, std::span<dep_request const>{reqs.data(), reqs.size()},
+              pool);
+        tail = std::move(sref);
+    });
     if (halos.active()) {
         // Export chains enter after every compute sub-node: their packs
         // RAW-edge on this loop's own INC sub-nodes (all colours — the
@@ -1596,8 +1646,9 @@ inline bool fusion_compatible(deferred_issue const& d,
 /// Wire and issue one fused pass (legality already proven). The shape
 /// is issue_partitioned's — distinct-dat pins in canonical order, one
 /// sub-node per live (partition, colour) edging on exactly the dat
-/// partitions it reaches through the UNION plan's footprints, colour
-/// chaining per partition, one join — over the concatenated argument
+/// partitions it reaches through the UNION plan's footprints, issued
+/// colour-major with colour chaining per partition, one join — over the
+/// concatenated argument
 /// lists of both constituents. The deferred constituent's promise node
 /// is chained onto the fused join, so both loops' handles complete
 /// (and fail) together.
@@ -1609,18 +1660,10 @@ inline loop_handle issue_fused(std::unique_ptr<fused_member> a,
                                std::size_t nparts) {
     loop_options const oa = a->options();
     loop_options const ob = b->options();
-    op_set const set = a->iter_set();
     auto grp = std::make_shared<fused_loop>(std::move(a), std::move(b),
                                             std::move(uplans), nparts);
     for (std::size_t p = 0; p < nparts; ++p) {
-        op_plan const& plan = grp->plan(p);
-        std::size_t live = 0;
-        for (std::size_t c = 0; c < plan.ncolors; ++c) {
-            if (!plan.blocks_of_color(c).empty()) {
-                ++live;
-            }
-        }
-        grp->init_colors(p, live);
+        grp->init_colors(p, live_colors(grp->plan(p)));
     }
 
     // Combined argument list; same distinct-dat / pin / epoch protocol
@@ -1693,7 +1736,6 @@ inline loop_handle issue_fused(std::unique_ptr<fused_member> a,
     if (!qerr) {
         qerr = check_quarantine(bargs, grp->b_name());
     }
-    auto const iter_part = set.partition(nparts);
     bool const affinity = oa.placement == placement_kind::affinity;
     // The same-colour exemption stays sound for the union: the union
     // plan's colouring proves non-conflict over BOTH loops' indirect
@@ -1703,89 +1745,62 @@ inline loop_handle issue_fused(std::unique_ptr<fused_member> a,
             ? g_exemption_loop_seq.fetch_add(1, std::memory_order_relaxed)
             : 0;
 
-    static thread_local std::vector<dep_request> reqs;
     for (std::size_t p = 0; p < nparts; ++p) {
-        op_plan const& plan = grp->plan(p);
-        for (std::size_t j = 0; j < all.size(); ++j) {
-            op_arg const& x = *all[j];
-            if (arg_dat[j] == static_cast<std::size_t>(-1) ||
-                x.acc == op_access::OP_READ) {
+        for (op_arg const* x : all) {
+            if (!x->dat.valid() || x->acc == op_access::OP_READ) {
                 continue;
             }
-            auto const* impl = &x.dat.internal();
-            if (x.is_direct()) {
-                grp->add_quarantine_target(
-                    p, {impl, iter_part->begin(p), iter_part->end(p)});
-            } else if (plan_footprint const* fp =
-                           plan.find_footprint(x.map.id(), x.idx)) {
-                auto const dp = x.dat.set().partition(nparts);
-                for (std::uint32_t q : fp->parts) {
-                    grp->add_quarantine_target(
-                        p, {impl, dp->begin(q), dp->end(q)});
-                }
-            } else {
-                grp->add_quarantine_target(p,
-                                           {impl, 0, x.dat.set().size()});
-            }
-        }
-
-        node_ref chain_prev;
-        for (std::size_t c = 0; c < plan.ncolors; ++c) {
-            if (plan.blocks_of_color(c).empty()) {
-                continue;
-            }
-            auto* sub =
-                new fused_part_node(grp, p, c, /*first=*/!chain_prev);
-            node_ref sref(sub, /*adopt=*/true);
-            sub->set_site(grp->name(), p, c);
-            if (qerr) {
-                sub->seed_error(qerr);
-            }
-            join->depend_on(*sub);
-            if (affinity) {
-                sub->set_worker_hint(p % pool.size());
-            }
-            if (chain_prev) {
-                sub->depend_on(*chain_prev);
-            }
-
-            reqs.clear();
-            auto add = [loop_tag, c](dep_record* rec, bool write) {
-                for (auto& r : reqs) {
-                    if (r.rec == rec) {
-                        r.write = r.write || write;
-                        return;
-                    }
-                }
-                reqs.push_back({rec, write, loop_tag,
-                                static_cast<std::uint32_t>(c)});
-            };
-            for (std::size_t j = 0; j < all.size(); ++j) {
-                op_arg const& x = *all[j];
-                std::size_t const i = arg_dat[j];
-                if (i == static_cast<std::size_t>(-1)) {
-                    continue;
-                }
-                bool const write = x.acc != op_access::OP_READ;
-                if (x.is_direct()) {
-                    add(&dats[i].pin.records()[p], write);
-                } else if (plan_footprint const* fp =
-                               plan.find_footprint(x.map.id(), x.idx)) {
-                    for (std::uint32_t q : fp->parts) {
-                        add(&dats[i].pin.records()[q], write);
-                    }
-                } else {
-                    for (std::size_t q = 0; q < nparts; ++q) {
-                        add(&dats[i].pin.records()[q], write);
-                    }
-                }
-            }
-            issue(*sub,
-                  std::span<dep_request const>{reqs.data(), reqs.size()},
-                  pool);
-            chain_prev = std::move(sref);
+            auto const* impl = &x->dat.internal();
+            auto const dp = x->dat.set().partition(nparts);
+            for_each_reached_part(*x, grp->plan(p), p, nparts,
+                                  [&](std::size_t q) {
+                                      grp->add_quarantine_target(
+                                          p, {impl, dp->begin(q),
+                                              dp->end(q)});
+                                  });
         }
     }
+
+    static thread_local std::vector<dep_request> reqs;
+    std::vector<node_ref> tail_storage;  // fused passes are rare
+    chain_tails tails(tail_storage, nparts);
+    for_each_sub_node(nparts, [&](std::size_t p) -> op_plan const& {
+        return grp->plan(p);
+    }, [&](std::size_t p, std::size_t c) {
+        op_plan const& plan = grp->plan(p);
+        node_ref& tail = tails[p];
+        auto* sub = new fused_part_node(grp, p, c, /*first=*/!tail);
+        node_ref sref(sub, /*adopt=*/true);
+        sub->set_site(grp->name(), p, c);
+        if (qerr) {
+            sub->seed_error(qerr);
+        }
+        join->depend_on(*sub);
+        if (affinity) {
+            sub->set_worker_hint(p % pool.size());
+        }
+        if (tail) {
+            sub->depend_on(*tail);
+        }
+
+        reqs.clear();
+        for (std::size_t j = 0; j < all.size(); ++j) {
+            std::size_t const i = arg_dat[j];
+            if (i == static_cast<std::size_t>(-1)) {
+                continue;
+            }
+            bool const write = all[j]->acc != op_access::OP_READ;
+            for_each_reached_part(*all[j], plan, p, nparts,
+                                  [&](std::size_t q) {
+                                      add_request(
+                                          reqs, &dats[i].pin.records()[q],
+                                          write, loop_tag, c);
+                                  });
+        }
+        issue(*sub, std::span<dep_request const>{reqs.data(), reqs.size()},
+              pool);
+        tail = std::move(sref);
+    });
     join->schedule();
     // Resolve the deferred constituent's handle against the fused join.
     a_promise->depend_on(*join);

@@ -282,6 +282,14 @@ public:
     [[nodiscard]] std::uint32_t worker_hint() const noexcept {
         return hint_;
     }
+    /// The nodes still waiting on this one: its outgoing edges until it
+    /// completes and releases them (empty afterwards). A snapshot taken
+    /// under the edge lock, for graph-shape checks.
+    [[nodiscard]] std::vector<node_ref> successors() const {
+        auto& self = const_cast<dataflow_node&>(*this);
+        std::lock_guard<hpxlite::util::spinlock> lk(self.succ_mtx_);
+        return succs_;
+    }
 
     // -- issue-side protocol (used by issue(), below) -----------------
 

@@ -27,14 +27,6 @@ struct plan_stage {
     std::uint64_t map_id = 0;
     int idx = 0;
     std::size_t stride = 0;          // bytes per target-set element
-    /// Nonzero when the class is uniformly strided at one of the widths
-    /// the vectorised gather kernels handle (16/32 bytes per element —
-    /// dim-2/dim-4 doubles; every table entry is then a multiple of this
-    /// value by construction). The executor's SIMD gather path
-    /// (loop_options::simd_gather) stages such read-only arguments into
-    /// aligned contiguous scratch with unrolled copy kernels instead of
-    /// resolving them per element.
-    std::size_t simd = 0;
     std::vector<std::uint32_t> off;  // [set_size] byte offsets into the dat
 };
 
@@ -205,5 +197,12 @@ std::size_t plan_cache_size(std::uint64_t ctx_id);
 /// retirement so a long-lived process doesn't accumulate dead jobs'
 /// plans.
 void plan_cache_purge(std::uint64_t ctx_id);
+
+/// Drop the plans cached for iteration set `set_id`, in every context.
+/// Runs when the set's last handle goes: entity ids are never reused, so
+/// those plans could never be looked up again. A parked executor of the
+/// exec pool may still hold a pointer to such a plan; it rebinds to a
+/// fresh plan on its next issue and never reads the old one.
+void plan_cache_purge_set(std::uint64_t set_id);
 
 }  // namespace op2

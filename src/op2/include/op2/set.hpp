@@ -63,6 +63,9 @@ struct set_impl {
     // the whole-set oracle), so this stays tiny.
     std::mutex part_mtx;
     std::vector<std::shared_ptr<set_partition const>> part_cache;
+
+    /// The last handle is gone: drop the set's cached plans.
+    ~set_impl();
 };
 std::uint64_t next_entity_id() noexcept;
 }  // namespace detail

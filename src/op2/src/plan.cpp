@@ -1,7 +1,6 @@
 #include <op2/plan.hpp>
 
 #include <op2/context.hpp>
-#include <op2/memory.hpp>
 
 #include <algorithm>
 #include <atomic>
@@ -11,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_map>
@@ -140,7 +140,11 @@ struct cache_shard {
     std::unordered_map<plan_key, std::unique_ptr<op_plan>, plan_key_hash> map;
 };
 
-cache_shard g_shards[kCacheShards];
+/// The store is never destroyed: a set's last handle purges the set's
+/// plans (plan_cache_purge_set), and a set held in static storage may
+/// die after this file's statics would have.
+std::span<cache_shard, kCacheShards> g_shards{
+    new cache_shard[kCacheShards], kCacheShards};
 
 /// Version counter bumped by plan_cache_clear(): per-worker caches hold
 /// raw plan pointers into the shared store, so a clear must invalidate
@@ -241,15 +245,15 @@ std::vector<int> sweep_colors(std::vector<color_span> const& spans,
 /// part_size, npartitions, mutating indirect classes) — partition index
 /// and staged_gather do not affect colouring — so the first partition
 /// plan built computes it once and the other P-1 reuse the result
-/// instead of each re-walking the whole set. Entries are dropped by
-/// plan_cache_clear() along with the plans that reference them.
+/// instead of each re-walking the whole set. Entries are dropped along
+/// with the plans that reference them. Never destroyed, like g_shards.
 struct color_memo {
     std::mutex mtx;
     std::unordered_map<plan_key, std::shared_ptr<std::vector<int> const>,
                        plan_key_hash>
         map;
 };
-color_memo g_color_memo;
+color_memo& g_color_memo = *new color_memo;
 
 std::shared_ptr<std::vector<int> const> sweep_colors_cached(
     op_plan const& plan, op_set const& set,
@@ -380,7 +384,6 @@ void build_stages(op_plan& plan, std::vector<stage_ref> const& refs) {
         st.map_id = r.map.id();
         st.idx = r.idx;
         st.stride = r.stride;
-        st.simd = memory::simd_stride(r.stride) ? r.stride : 0;
         st.off.resize(plan.set_size);
         int const* table = r.map.table().data() +
                            plan.elem_base * static_cast<std::size_t>(
@@ -632,23 +635,44 @@ std::size_t plan_cache_size(std::uint64_t ctx_id) {
     return n;
 }
 
-void plan_cache_purge(std::uint64_t ctx_id) {
-    // Same ordering discipline as plan_cache_clear: invalidate the
-    // per-worker pointer maps before freeing any plan they may point
-    // into. A purge drops *every* thread's local map, not just entries
-    // of the purged context — coarse, but purges happen at job
-    // retirement, not on the issue path.
-    g_cache_version.fetch_add(1, std::memory_order_acq_rel);
+namespace {
+
+/// Drop every cached plan (and colour memo) whose key matches `pred`.
+/// Same ordering discipline as plan_cache_clear: the per-worker pointer
+/// maps are invalidated before any plan they may point into is freed.
+/// A purge that drops anything flushes *every* thread's local map, not
+/// just the matching entries — coarse, but purges happen when a job
+/// retires or a set dies, not on the issue path.
+template <typename Pred>
+void purge_if(Pred const& pred) {
+    std::vector<std::unique_ptr<op_plan>> dropped;
     for (auto& shard : g_shards) {
         std::unique_lock<std::shared_mutex> wr(shard.mtx);
-        std::erase_if(shard.map,
-                      [&](auto const& kv) { return kv.first.ctx == ctx_id; });
+        for (auto it = shard.map.begin(); it != shard.map.end();) {
+            if (pred(it->first)) {
+                dropped.push_back(std::move(it->second));
+                it = shard.map.erase(it);
+            } else {
+                ++it;
+            }
+        }
     }
-    {
-        std::lock_guard<std::mutex> lk(g_color_memo.mtx);
-        std::erase_if(g_color_memo.map,
-                      [&](auto const& kv) { return kv.first.ctx == ctx_id; });
+    if (!dropped.empty()) {
+        g_cache_version.fetch_add(1, std::memory_order_acq_rel);
     }
+    std::lock_guard<std::mutex> lk(g_color_memo.mtx);
+    std::erase_if(g_color_memo.map,
+                  [&](auto const& kv) { return pred(kv.first); });
+}
+
+}  // namespace
+
+void plan_cache_purge(std::uint64_t ctx_id) {
+    purge_if([ctx_id](plan_key const& k) { return k.ctx == ctx_id; });
+}
+
+void plan_cache_purge_set(std::uint64_t set_id) {
+    purge_if([set_id](plan_key const& k) { return k.set_id == set_id; });
 }
 
 }  // namespace op2

@@ -1,5 +1,7 @@
 #include <op2/set.hpp>
 
+#include <op2/plan.hpp>
+
 #include <atomic>
 #include <stdexcept>
 
@@ -49,6 +51,8 @@ std::shared_ptr<set_partition const> op_set::partition(
     impl_->part_cache.push_back(part);
     return part;
 }
+
+detail::set_impl::~set_impl() { plan_cache_purge_set(id); }
 
 op_set op_decl_set(std::size_t size, std::string name) {
     auto impl = std::make_shared<detail::set_impl>();

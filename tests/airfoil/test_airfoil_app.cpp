@@ -115,6 +115,44 @@ TEST_F(AirfoilAppTest, RmsStrideControlsSampling) {
     EXPECT_EQ(r2.rms_history.size(), 30u);
 }
 
+/// Each rms row is labelled with the iteration it was recorded after:
+/// every stride multiple, plus the final iteration when niter is not
+/// one (niter=50, stride=20 records after 20, 40 and 50 — not 60).
+TEST_F(AirfoilAppTest, RmsRowsCarryTheirRealIteration) {
+    auto cfg = small_config(op2::backend::seq);
+    cfg.niter = 50;
+    cfg.rms_stride = 20;
+    auto r = airfoil::run(cfg);
+    EXPECT_EQ(r.rms_iters, (std::vector<int>{20, 40, 50}));
+    EXPECT_EQ(r.rms_history.size(), r.rms_iters.size());
+    cfg.niter = 40;
+    EXPECT_EQ(airfoil::run(cfg).rms_iters, (std::vector<int>{20, 40}));
+}
+
+/// A declared problem's cached plans leave with it: plan_cache_size()
+/// returns to its prior value once the problem (and so its sets) is
+/// destroyed. A second problem then re-issues on pooled executors whose
+/// old plans were purged, and must reproduce the first run bitwise.
+TEST_F(AirfoilAppTest, DestroyedProblemLeavesNoCachedPlans) {
+    std::size_t const before = op2::plan_cache_size();
+    auto const m = airfoil::make_mesh({.nx = 24, .ny = 12});
+    auto cfg = small_config(op2::backend::hpx);
+    cfg.niter = 4;
+    std::vector<double> first;
+    {
+        airfoil::problem p = airfoil::make_problem(m);
+        first = airfoil::run(p, cfg).q_final;
+        EXPECT_GT(op2::plan_cache_size(), before);
+    }
+    // The fence waits for the sub-nodes; each loop's join node drops
+    // its set handles just after, on a worker.
+    hpxlite::get_pool().wait_idle();
+    EXPECT_EQ(op2::plan_cache_size(), before);
+
+    airfoil::problem p = airfoil::make_problem(m);
+    EXPECT_EQ(airfoil::run(p, cfg).q_final, first);
+}
+
 TEST_F(AirfoilAppTest, InvalidIterationCountThrows) {
     auto cfg = small_config(op2::backend::seq);
     cfg.niter = 0;

@@ -14,6 +14,7 @@
 
 #include <hpxlite/runtime.hpp>
 #include <hpxlite/threads/thread_pool.hpp>
+#include <hpxlite/threads/topology.hpp>
 
 using hpxlite::threads::pool_options;
 using hpxlite::threads::thread_pool;
@@ -319,14 +320,37 @@ TEST(ThreadPool, BindWorkersPinsEachWorkerToOneCpu) {
     pool_options opts;
     opts.bind_workers = true;
     thread_pool pool(2, opts);
-    // Binding happens at worker_loop entry, so an immediate
-    // bound_workers() read races thread startup and could skip
-    // spuriously. Two tasks that rendezvous force both workers into
-    // their loops (and therefore past their binding attempt) first.
+    // Binding promises that every worker runs pinned to exactly one
+    // CPU, node_major[index % cpus] of the topology. Which worker runs a
+    // given task is the pool's choice (a submit_to hint is best-effort:
+    // a worker still spinning before it parks may claim the task first),
+    // so each task records the worker that actually ran it and that
+    // worker's mask is checked. Two tasks that rendezvous occupy both
+    // workers at once, so both workers are checked — and both are past
+    // their binding attempt before bound_workers() is read.
+    struct probe {
+        std::atomic<std::size_t> worker{~std::size_t{0}};
+        std::atomic<int> cpus{-1};
+        std::atomic<int> cpu{-1};  // the one CPU in the mask, if any
+    };
+    std::array<probe, 2> probes;
     {
         std::atomic<std::size_t> live{0};
-        for (int i = 0; i < 2; ++i) {
-            pool.submit([&] {
+        for (std::size_t i = 0; i < 2; ++i) {
+            pool.submit([&, i] {
+                cpu_set_t set;
+                CPU_ZERO(&set);
+                if (pthread_getaffinity_np(pthread_self(), sizeof(set),
+                                           &set) == 0) {
+                    probes[i].cpus.store(CPU_COUNT(&set));
+                    for (int c = 0; c < CPU_SETSIZE; ++c) {
+                        if (CPU_ISSET(c, &set)) {
+                            probes[i].cpu.store(c);
+                            break;
+                        }
+                    }
+                }
+                probes[i].worker.store(pool.worker_index());
                 live.fetch_add(1);
                 while (live.load(std::memory_order_acquire) < 2) {
                     std::this_thread::yield();
@@ -344,30 +368,18 @@ TEST(ThreadPool, BindWorkersPinsEachWorkerToOneCpu) {
         GTEST_SKIP() << "pthread_setaffinity_np rejected (restricted "
                         "cpuset?); binding is best-effort";
     }
-    std::size_t ncpu = std::thread::hardware_concurrency();
-    if (ncpu == 0) {
-        ncpu = 1;
+    auto const& topo = hpxlite::threads::topology();
+    std::size_t const ncpu = topo.cpus() == 0 ? 1 : topo.cpus();
+    std::set<std::size_t> seen;
+    for (auto const& pr : probes) {
+        std::size_t const idx = pr.worker.load();
+        ASSERT_LT(idx, pool.size()) << "task ran off the pool";
+        seen.insert(idx);
+        EXPECT_EQ(pr.cpus.load(), 1) << "worker " << idx;
+        EXPECT_EQ(pr.cpu.load(), topo.node_major[idx % ncpu])
+            << "worker " << idx;
     }
-    for (std::size_t w = 0; w < 2; ++w) {
-        std::atomic<int> cpus{-1};
-        std::atomic<bool> on_cpu{false};
-        std::atomic<bool> done{false};
-        pool.submit_to(w, [&, w] {
-            cpu_set_t set;
-            CPU_ZERO(&set);
-            if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) ==
-                0) {
-                cpus.store(CPU_COUNT(&set));
-                on_cpu.store(CPU_ISSET(w % ncpu, &set));
-            }
-            done.store(true, std::memory_order_release);
-        });
-        while (!done.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-        }
-        EXPECT_EQ(cpus.load(), 1) << "worker " << w;
-        EXPECT_TRUE(on_cpu.load()) << "worker " << w;
-    }
+    EXPECT_EQ(seen.size(), 2u) << "the rendezvous ran on one worker";
 }
 #endif
 

@@ -29,14 +29,19 @@ TEST_F(PipelineTest, ModelIssueOrderMatchesRealApplication) {
     // own (cells, but with staged x-gather tables through pcell),
     // while res_calc (edges) and bres_calc (bedges) each need a coloured
     // one with their own staging tables.
+    // The plans live as long as the problem's sets: destroying the
+    // problem drops them.
     op2::plan_cache_clear();
     airfoil::app_config cfg;
-    cfg.mesh.nx = 20;
-    cfg.mesh.ny = 10;
     cfg.niter = 1;
     cfg.be = op2::backend::fork_join;
-    (void)airfoil::run(cfg);
-    EXPECT_EQ(op2::plan_cache_size(), 4u);
+    {
+        auto p = airfoil::make_problem(airfoil::make_mesh({.nx = 20,
+                                                           .ny = 10}));
+        (void)airfoil::run(p, cfg);
+        EXPECT_EQ(op2::plan_cache_size(), 4u);
+    }
+    EXPECT_EQ(op2::plan_cache_size(), 0u);
 }
 
 TEST_F(PipelineTest, RealResCalcPlanIsColoured) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -23,8 +24,7 @@ struct random_program {
     op_set edges;
     op_map em;
     std::vector<op_dat> dats;       // 3 cell dats
-    op_dat vec;                     // dim-2 cell dat (16-byte stride: the
-                                    // SIMD gather class when read via em)
+    op_dat vec;                     // dim-2 cell dat
     std::vector<int> ops;           // op codes
     std::vector<int> targets;       // dat index per op
 
@@ -108,8 +108,8 @@ struct random_program {
                     op_arg_dat(a, -1, OP_ID, 1, "double", OP_RW),
                     op_arg_dat(vec, -1, OP_ID, 2, "double", OP_RW));
                 break;
-            case 2:  // indirect scatter-increment, with a dim-2 (16-byte
-                     // stride) indirect read — the SIMD gather class
+            case 2:  // indirect scatter-increment, with a dim-2 indirect
+                     // read
                 run("scatter", edges,
                     [](double const* s1, double const* s2, double const* v,
                        double* t1, double* t2) {
@@ -196,44 +196,43 @@ TEST_P(RandomLoops, HpxAndForkJoinMatchSeq) {
     }
 }
 
-/// SIMD-vs-scalar gather differential on the random RW DAG: with an
-/// identical plan and block schedule, gathering the 16-byte-stride
-/// indirect reads into aligned scratch copies bytes but reorders no
-/// arithmetic, so the fields must match *bitwise* (memcmp, non-integer
-/// values and all). Reductions combine in schedule order under the hpx
-/// backend, so they get the usual tolerance there.
-TEST_P(RandomLoops, SimdGatherMatchesScalarGatherBitwise) {
+/// Staged-vs-legacy gather differential on the random RW DAG: staging
+/// does not affect colouring, so with an identical plan and block
+/// schedule the staged tables copy offsets but reorder no arithmetic,
+/// and the fields must match *bitwise* (memcmp, non-integer values and
+/// all). Reductions combine in schedule order under the hpx backend, so
+/// they get the usual tolerance there.
+TEST_P(RandomLoops, StagedGatherMatchesLegacyGatherBitwise) {
     random_program prog(GetParam());
-    loop_options simd_on;
-    simd_on.part_size = 48;
+    loop_options staged;
+    staged.part_size = 48;
     // The bitwise claim rests on both runs sharing one plan and block
     // schedule; pin the partition count so OP2HPX_AUTOTUNE cannot give
     // the two runs different partitionings (explicit counts bypass the
     // tuner).
-    simd_on.partitions = 4;
-    simd_on.simd_gather = true;
-    loop_options simd_off = simd_on;
-    simd_off.simd_gather = false;
+    staged.partitions = 4;
+    staged.staged_gather = true;
+    loop_options legacy = staged;
+    legacy.staged_gather = false;
 
     for (auto be : {backend::fork_join, backend::hpx}) {
-        auto scalar = prog.execute(be, simd_off);
-        auto simd = prog.execute(be, simd_on);
-        ASSERT_EQ(simd.fields.size(), scalar.fields.size());
-        for (std::size_t d = 0; d < scalar.fields.size(); ++d) {
-            ASSERT_EQ(std::memcmp(simd.fields[d].data(),
-                                  scalar.fields[d].data(),
-                                  scalar.fields[d].size() * sizeof(double)),
+        auto ref = prog.execute(be, legacy);
+        auto got = prog.execute(be, staged);
+        ASSERT_EQ(got.fields.size(), ref.fields.size());
+        for (std::size_t d = 0; d < ref.fields.size(); ++d) {
+            ASSERT_EQ(std::memcmp(got.fields[d].data(), ref.fields[d].data(),
+                                  ref.fields[d].size() * sizeof(double)),
                       0)
                 << "backend " << to_string(be) << " dat " << d
-                << ": SIMD gather diverged from the scalar oracle";
+                << ": staged gather diverged from the legacy path";
         }
-        for (std::size_t k = 0; k < scalar.reductions.size(); ++k) {
+        for (std::size_t k = 0; k < ref.reductions.size(); ++k) {
             if (be == backend::fork_join) {
-                ASSERT_EQ(simd.reductions[k], scalar.reductions[k])
+                ASSERT_EQ(got.reductions[k], ref.reductions[k])
                     << "reduction " << k;
             } else {
-                ASSERT_NEAR(simd.reductions[k], scalar.reductions[k],
-                            1e-9 * (1.0 + std::fabs(scalar.reductions[k])))
+                ASSERT_NEAR(got.reductions[k], ref.reductions[k],
+                            1e-9 * (1.0 + std::fabs(ref.reductions[k])))
                     << "reduction " << k;
             }
         }

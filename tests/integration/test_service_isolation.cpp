@@ -31,6 +31,10 @@ struct mesh_result {
     std::vector<double> q;
     std::vector<double> res;
     double rms = 0.0;
+    // The job's sets, outliving the job: a set's cached plans are
+    // dropped with its last handle, and the plan-namespace test counts
+    // them after the jobs retired.
+    std::vector<op_set> sets;
 };
 
 /// One tenant's program: a mini airfoil-shaped chain (save/adt/res/
@@ -58,6 +62,7 @@ service::job_desc make_mesh_job(std::string name, unsigned seed,
             v = cd(rng);
         }
         auto em = op_decl_map(edges, cells, 2, tab, "em");
+        out->sets = {cells, edges};
 
         std::uniform_int_distribution<int> vd(1, 5);
         std::vector<double> q_init(2 * kCells);

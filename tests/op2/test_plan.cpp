@@ -394,4 +394,26 @@ TEST(PlanCache, ClearInvalidatesPerWorkerShards) {
     plan_cache_clear();
 }
 
+TEST(PlanCache, DestroyedSetDropsItsPlans) {
+    plan_cache_clear();
+    ring keep(128);
+    auto kargs = keep.inc_args();
+    auto const& kp = plan_get(keep.edges, kargs, 32);
+    std::size_t const before = plan_cache_size();
+    {
+        ring r(256);
+        auto args = r.inc_args();
+        (void)plan_get(r.edges, args, 64);
+        for (std::size_t p = 0; p < 4; ++p) {
+            (void)plan_get(r.edges, args, plan_desc{64, true, 4, p});
+        }
+        EXPECT_EQ(plan_cache_size(), before + 5);
+    }
+    // The ring's sets died with it; their plans went with them, while
+    // the surviving set's plan is untouched and still served.
+    EXPECT_EQ(plan_cache_size(), before);
+    EXPECT_EQ(&plan_get(keep.edges, kargs, 32), &kp);
+    plan_cache_clear();
+}
+
 }  // namespace

@@ -1,16 +1,18 @@
-// The SIMD INC scatter path (loop_options::simd_scatter): indirect
-// OP_INC arguments at a vectorisable stride accumulate into zeroed
-// block-private scratch and are scattered back with unrolled fixed-
-// stride kernels, in exactly the element order the scalar path adds
-// contributions in. That makes the optimisation *bitwise* invisible —
-// which these differentials pin with arbitrary (non-integer) values,
-// where any reordering of IEEE additions would show up as a mismatch.
+// The staged INC path (loop_options::staged_gather): indirect OP_INC
+// arguments resolve their targets through the plan's staged offset
+// tables instead of through the map, per element. Staging does not
+// affect colouring, so under one plan the staged and the legacy
+// per-element executors add every contribution in exactly the same
+// order. These differentials pin that with arbitrary (non-integer)
+// values, where any reordering of IEEE additions would show up as a
+// bitwise mismatch.
 
 #include <gtest/gtest.h>
 
-#include <array>
+#include <algorithm>
 #include <cstring>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <hpxlite/runtime.hpp>
@@ -20,7 +22,7 @@ using namespace op2;
 
 namespace {
 
-class SimdScatterTest : public ::testing::Test {
+class StagedScatterTest : public ::testing::Test {
 protected:
     void SetUp() override { hpxlite::init(hpxlite::runtime_config{4}); }
     void TearDown() override { hpxlite::finalize(); }
@@ -34,8 +36,8 @@ struct scatter_mesh {
     op_set edges;
     op_map em;   // edges -> cells, dim 2
     op_dat src;  // dim 2 per cell, read-only
-    op_dat acc2; // dim 2 per cell: 16-byte INC class
-    op_dat acc4; // dim 4 per cell: 32-byte INC class
+    op_dat acc2; // dim 2 per cell
+    op_dat acc4; // dim 4 per cell
     std::vector<double> src_init;
 
     explicit scatter_mesh(unsigned seed) {
@@ -45,9 +47,8 @@ struct scatter_mesh {
         std::uniform_int_distribution<int> cd(0, kCells - 1);
         std::vector<int> tab(2 * kEdges);
         for (std::size_t e = 0; e < kEdges; ++e) {
-            // Distinct endpoints per edge: the INC contract (and the
-            // scatter path's single-accumulation precondition) assumes
-            // a kernel's private increment slots do not alias.
+            // Distinct endpoints per edge: the INC contract assumes a
+            // kernel's private increment slots do not alias.
             int const a = cd(rng);
             int b = cd(rng);
             while (b == a) {
@@ -60,7 +61,7 @@ struct scatter_mesh {
 
         // Non-integer values on purpose: IEEE addition is order-
         // sensitive here, so the bitwise comparisons below prove the
-        // scatter path preserves the scalar accumulation order.
+        // staged path keeps the per-element accumulation order.
         std::uniform_real_distribution<double> vd(0.1, 1.0);
         src_init.resize(2 * kCells);
         for (auto& v : src_init) {
@@ -81,9 +82,8 @@ struct scatter_mesh {
     }
 
     /// The res_calc shape: one loop, TWO indirect INC args on the same
-    /// dat (both endpoints of the edge), plus a plain single-slot INC
-    /// on a second dat — covering both the joint (element-major,
-    /// slot-ordered) scatter and the single-argument fast path.
+    /// dat (both endpoints of the edge), plus a single-slot INC on a
+    /// second dat.
     void run(loop_options const& opts) {
         reset();
         auto h = exec::run_loop(
@@ -123,49 +123,47 @@ void expect_bitwise_equal(std::vector<double> const& a,
                              a.size() * sizeof(double)));
 }
 
-TEST_F(SimdScatterTest, StagedIncScatterMatchesScalarBitwise) {
+TEST_F(StagedScatterTest, StagedIncScatterMatchesLegacyBitwise) {
     scatter_mesh m(7);
-    loop_options scalar;
-    scalar.backend = exec::backend_kind::staged;
-    scalar.part_size = 96;
-    scalar.simd_scatter = false;
-    loop_options simd = scalar;
-    simd.simd_scatter = true;
+    loop_options legacy;
+    legacy.backend = exec::backend_kind::staged;
+    legacy.part_size = 96;
+    legacy.staged_gather = false;
+    loop_options staged = legacy;
+    staged.staged_gather = true;
 
-    m.run(scalar);
+    m.run(legacy);
+    auto const [l2, l4] = m.snapshot();
+    m.run(staged);
     auto const [s2, s4] = m.snapshot();
-    m.run(simd);
-    auto const [v2, v4] = m.snapshot();
-    expect_bitwise_equal(s2, v2);
-    expect_bitwise_equal(s4, v4);
+    expect_bitwise_equal(l2, s2);
+    expect_bitwise_equal(l4, s4);
 }
 
-TEST_F(SimdScatterTest, HpxPartitionedIncScatterMatchesScalarBitwise) {
+TEST_F(StagedScatterTest, HpxPartitionedIncScatterMatchesLegacyBitwise) {
     scatter_mesh m(23);
-    loop_options scalar;
-    scalar.backend = exec::backend_kind::hpx_dataflow;
-    scalar.partitions = 4;
-    scalar.part_size = 96;
-    scalar.simd_scatter = false;
-    loop_options simd = scalar;
-    simd.simd_scatter = true;
+    loop_options legacy;
+    legacy.backend = exec::backend_kind::hpx_dataflow;
+    legacy.partitions = 4;
+    legacy.part_size = 96;
+    legacy.staged_gather = false;
+    loop_options staged = legacy;
+    staged.staged_gather = true;
 
-    m.run(scalar);
+    m.run(legacy);
+    auto const [l2, l4] = m.snapshot();
+    m.run(staged);
     auto const [s2, s4] = m.snapshot();
-    m.run(simd);
-    auto const [v2, v4] = m.snapshot();
-    expect_bitwise_equal(s2, v2);
-    expect_bitwise_equal(s4, v4);
+    expect_bitwise_equal(l2, s2);
+    expect_bitwise_equal(l4, s4);
 }
 
 /// A dat reached through BOTH an indirect INC and an indirect READ in
-/// one loop is ineligible (the read would observe the private-buffer
-/// zeros instead of accumulated values if the scatter path engaged).
-/// The eligibility pass must fall back to scalar INC for it — and the
-/// result must stay bitwise-identical to the all-scalar run. The map
-/// keeps the read slot and the INC slot on disjoint cell ranges, so
-/// the mixed access itself is race-free and deterministic.
-TEST_F(SimdScatterTest, MixedAccessDatFallsBackAndStaysExact) {
+/// one loop: the read and the increment must both see the live dat on
+/// the staged path, as they do on the legacy one. The map keeps the
+/// read slot and the INC slot on disjoint cell ranges, so the mixed
+/// access itself is race-free and deterministic.
+TEST_F(StagedScatterTest, MixedAccessDatStaysExact) {
     constexpr std::size_t kCells = 600;
     constexpr std::size_t kEdges = 1500;
     auto cells = op_decl_set(kCells, "cells");
@@ -188,7 +186,7 @@ TEST_F(SimdScatterTest, MixedAccessDatFallsBackAndStaysExact) {
     auto mixed = op_decl_dat<double>(cells, 2, "double", init, "mixed");
     auto acc4 = op_decl_dat_zero<double>(cells, 4, "double", "acc4");
 
-    auto run_mixed = [&](bool simd_on) {
+    auto run_mixed = [&](bool staged) {
         auto mv = mixed.view<double>();
         std::copy(init.begin(), init.end(), mv.begin());
         for (auto& x : acc4.view<double>()) {
@@ -197,7 +195,7 @@ TEST_F(SimdScatterTest, MixedAccessDatFallsBackAndStaysExact) {
         loop_options o;
         o.backend = exec::backend_kind::staged;
         o.part_size = 96;
-        o.simd_scatter = simd_on;
+        o.staged_gather = staged;
         auto h = exec::run_loop(
             o, "mixed", edges,
             [](double const* probe, double* a1, double* b0) {
@@ -219,14 +217,14 @@ TEST_F(SimdScatterTest, MixedAccessDatFallsBackAndStaysExact) {
         out.insert(out.end(), v4.begin(), v4.end());
         return out;
     };
-    auto const scalar = run_mixed(false);
-    auto const simd = run_mixed(true);
-    expect_bitwise_equal(scalar, simd);
+    auto const legacy = run_mixed(false);
+    auto const staged = run_mixed(true);
+    expect_bitwise_equal(legacy, staged);
 }
 
-/// Odd strides (dim-1 / dim-3 doubles) have no vector class; with
-/// simd_scatter on they must keep taking the scalar path untouched.
-TEST_F(SimdScatterTest, NonVectorStridesAreUnaffected) {
+/// Odd strides (dim-1 / dim-3 doubles) go through the same staged
+/// tables as the even ones and must match the legacy path too.
+TEST_F(StagedScatterTest, OddStridesMatchLegacyBitwise) {
     auto cells = op_decl_set(300, "cells");
     auto edges = op_decl_set(900, "edges");
     std::mt19937 rng(91);
@@ -239,7 +237,7 @@ TEST_F(SimdScatterTest, NonVectorStridesAreUnaffected) {
     auto acc1 = op_decl_dat_zero<double>(cells, 1, "double", "acc1");
     auto acc3 = op_decl_dat_zero<double>(cells, 3, "double", "acc3");
 
-    auto run = [&](bool simd_on) {
+    auto run = [&](bool staged) {
         for (auto& x : acc1.view<double>()) {
             x = 0.0;
         }
@@ -249,7 +247,7 @@ TEST_F(SimdScatterTest, NonVectorStridesAreUnaffected) {
         loop_options o;
         o.backend = exec::backend_kind::staged;
         o.part_size = 64;
-        o.simd_scatter = simd_on;
+        o.staged_gather = staged;
         auto h = exec::run_loop(
             o, "odd", edges,
             [](double* a, double* b) {
@@ -268,9 +266,9 @@ TEST_F(SimdScatterTest, NonVectorStridesAreUnaffected) {
         out.insert(out.end(), v3.begin(), v3.end());
         return out;
     };
-    auto const scalar = run(false);
-    auto const simd = run(true);
-    expect_bitwise_equal(scalar, simd);
+    auto const legacy = run(false);
+    auto const staged = run(true);
+    expect_bitwise_equal(legacy, staged);
 }
 
 }  // namespace
