@@ -20,7 +20,9 @@
 //  * the memory config override — first-touch placement for the dats a
 //    job declares, independent of the process default;
 //  * issue metrics — loops issued under the context, read by the
-//    service layer's per-job metrics.
+//    service layer's per-job metrics;
+//  * the in-flight loop joins — what fences wait on besides the dat
+//    records (exec/dataflow.hpp: join_set).
 //
 // The *default* context (id 0) is the process-wide one every
 // standalone program uses implicitly; all pre-service behaviour is the
@@ -41,12 +43,17 @@
 
 namespace op2 {
 
+namespace exec {
+class join_set;
+}
+
 class runtime_context {
 public:
     /// The default (process-wide) context. Named contexts come from
     /// make_context(); ids are process-unique, 0 is the default.
-    runtime_context() = default;
+    runtime_context();
     explicit runtime_context(std::string name);
+    ~runtime_context();
 
     runtime_context(runtime_context const&) = delete;
     runtime_context& operator=(runtime_context const&) = delete;
@@ -85,6 +92,11 @@ public:
     /// the context runs anything (plain int, read at op_decl_dat).
     int first_touch = -1;
 
+    /// Join nodes of the partitioned dataflow loops issued under this
+    /// context, not yet seen complete: op_fence / op_fence_all (and the
+    /// service layer's per-job drain) wait on them after the records.
+    [[nodiscard]] exec::join_set& joins() const noexcept { return *joins_; }
+
     /// The process-wide default context (id 0). Never destroyed, like
     /// the inline globals it replaces, so dats finalised during static
     /// teardown can still reach their poison gate.
@@ -93,6 +105,7 @@ public:
 private:
     std::uint64_t id_ = 0;
     std::string name_;
+    std::unique_ptr<exec::join_set> joins_;
 };
 
 /// Create a named context (fresh process-unique id).

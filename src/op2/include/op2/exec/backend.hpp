@@ -643,7 +643,8 @@ private:
 
 /// One (partition, colour) sub-node of a partitioned loop: the unit of
 /// both scheduling and dependency tracking. Its blocks run inline — the
-/// sub-node *is* the parallelism grain, one per worker by default.
+/// sub-node *is* the parallelism grain (by default about dataflow_grain
+/// elements per partition, so the pool balances many short sub-nodes).
 template <typename Kernel, std::size_t N>
 class part_node final : public dataflow_node {
 public:
@@ -717,6 +718,23 @@ private:
 
     group_ref<Kernel, N> grp_;
 };
+
+/// Register a loop's join node with the issuing context's join_set
+/// (before it is scheduled), so fences also wait for the join's
+/// bookkeeping — not just the sub-nodes the dat records track.
+template <typename... ArgLists>
+void track_join(node_ref const& join, ArgLists const&... arg_lists) {
+    std::uint64_t mask = 0;
+    auto add = [&mask](auto const& args) {
+        for (op_arg const& a : args) {
+            if (a.dat.valid()) {
+                mask |= join_set::dat_bit(a.dat.id());
+            }
+        }
+    };
+    (add(arg_lists), ...);
+    current_context()->joins().add(join, mask);
+}
 
 /// Whole-set issue (partitions == 1): one node per loop, one dep_request
 /// per distinct dat — the PR 2 shape, kept verbatim as the differential
@@ -800,6 +818,27 @@ loop_handle issue_whole_set(loop_options const& opts, char const* name,
     return loop_handle(std::move(ref));
 }
 
+/// Partition count of a defaulted (per-set) dataflow loop: the finest
+/// dataflow_partitions among the sets it touches — its iteration set
+/// and every indirect target set. Dats keep their records at their own
+/// set's granularity; cutting the loop no coarser than the finest of
+/// them keeps each sub-node's footprint local. (A loop over a small
+/// set with a large target — Airfoil's bres_calc over bedges into
+/// cells — cut at its own set's granularity would give a few sub-nodes
+/// whose footprints span nearly every cell partition, each acting as a
+/// barrier between the loops before and after it.)
+template <std::size_t N>
+[[nodiscard]] std::size_t per_set_partitions(
+    op_set const& set, std::array<op_arg, N> const& args) {
+    std::size_t g = dataflow_partitions(set.size());
+    for (op_arg const& a : args) {
+        if (a.is_indirect()) {
+            g = std::max(g, dataflow_partitions(a.map.to().size()));
+        }
+    }
+    return g;
+}
+
 /// Monotone id handed to each partitioned-loop issue: the dependency
 /// layer uses it to recognise sub-nodes of one loop (the same-colour
 /// non-conflict exemption applies only within a loop). Shared across
@@ -841,22 +880,37 @@ void for_each_sub_node(std::size_t nparts, PlanOf const& plan_of,
 }
 
 /// Call `f(q)` for every partition q of `a`'s dat that partition p of
-/// the loop can reach: the iteration partition itself for a direct
-/// argument, the plan's map-derived footprint for an indirect one, and
-/// (conservatively — a partition plan always carries its footprints)
-/// every partition when the footprint is missing.
+/// the loop can reach, where `dpart` is the dat's partitioning at the
+/// granularity its records are pinned at: for a direct argument the
+/// iteration partition itself — or, when the dat is pinned coarser than
+/// the loop (a per-set loop over a set finer-grained than its own), the
+/// dat partitions overlapping the plan's element range; for an indirect
+/// one the plan's map-derived footprint (counted at that same
+/// granularity: the loop's count in uniform mode, the target set's
+/// dataflow_partitions for a per-set plan); and, conservatively, every
+/// dat partition when the footprint is missing.
 template <typename F>
 void for_each_reached_part(op_arg const& a, op_plan const& plan,
-                           std::size_t p, std::size_t nparts, F&& f) {
+                           std::size_t p, set_partition const& dpart,
+                           F&& f) {
     if (a.is_direct()) {
-        f(p);
+        if (dpart.count == plan.npartitions) {
+            f(p);
+        } else if (plan.set_size != 0) {
+            std::size_t const last =
+                dpart.find(plan.elem_base + plan.set_size - 1);
+            for (std::size_t q = dpart.find(plan.elem_base); q <= last;
+                 ++q) {
+                f(q);
+            }
+        }
     } else if (plan_footprint const* fp =
                    plan.find_footprint(a.map.id(), a.idx)) {
         for (std::uint32_t q : fp->parts) {
             f(std::size_t{q});
         }
     } else {
-        for (std::size_t q = 0; q < nparts; ++q) {
+        for (std::size_t q = 0; q < dpart.count; ++q) {
             f(q);
         }
     }
@@ -930,6 +984,14 @@ private:
 /// the worker hint p % pool_size, so a partition's working set keeps
 /// landing on the same worker across the loops of a chain.
 ///
+/// Record granularity: in uniform mode every dat is pinned at `nparts`
+/// (explicit counts, the tuner, localities). With `per_set` (a defaulted
+/// loop, see per_set_partitions) each dat is pinned at its *own* set's
+/// dataflow_partitions and the plans' indirect footprints count target
+/// partitions at that granularity, so loops over different sets (edges,
+/// bedges, cells) share a dat's records without re-partitioning — and
+/// without the drain a re-partition costs.
+///
 /// With nloc > 1 the partitions are grouped into logical localities
 /// (op2/comm.hpp) and every indirect argument's halo regions travel
 /// through pack -> exchange -> unpack/combine comm sub-nodes wired into
@@ -945,7 +1007,7 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
                               Kernel kernel,
                               hpxlite::threads::thread_pool& pool,
                               std::size_t nparts, std::size_t nloc = 1,
-                              tune::probe probe = {}) {
+                              tune::probe probe = {}, bool per_set = false) {
     // Acquire the group from the cross-issue pool when possible: a
     // steady-state chain then re-issues each loop with zero executor
     // construction and zero scratch reallocation (the staging and
@@ -976,20 +1038,22 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
     for (std::size_t p = 0; p < nparts; ++p) {
         op_plan const& plan = plan_get(
             set, grp->executor(0).args(),
-            plan_desc{opts.part_size, opts.staged_gather, nparts, p});
+            plan_desc{opts.part_size, opts.staged_gather, nparts, p,
+                      per_set});
         grp->bind_plan(plan);
         grp->executor(p).setup(plan);
         grp->init_colors(p, live_colors(plan));
     }
 
     // Distinct dats of the loop, with their record tables pinned at
-    // this granularity (until every sub-node is wired) and the
-    // dat-level epoch bumped once per writer. Pins are taken in
-    // canonical (address) order so concurrent issuers at mixed
-    // granularities never hold-and-wait on each other's pins.
+    // their granularity (see "Record granularity" above; until every
+    // sub-node is wired) and the dat-level epoch bumped once per writer.
+    // Pins are taken in canonical (address) order so concurrent issuers
+    // at mixed granularities never hold-and-wait on each other's pins.
     struct dat_entry {
         dep_state* state = nullptr;
         bool write = false;
+        std::shared_ptr<set_partition const> part;  // at the pinned count
         issue_pin pin;
     };
     std::array<dat_entry, N == 0 ? 1 : N> dats;
@@ -1009,6 +1073,9 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
             }
             if (i == ndats) {
                 dats[i].state = &st;
+                dats[i].part = a.dat.set().partition(
+                    per_set ? dataflow_partitions(a.dat.set().size())
+                            : nparts);
                 ++ndats;
             }
             dats[i].write = dats[i].write || a.acc != op_access::OP_READ;
@@ -1020,7 +1087,7 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
                   return x.state < y.state;
               });
     for (std::size_t i = 0; i < ndats; ++i) {
-        dats[i].pin = issue_pin(*dats[i].state, nparts);
+        dats[i].pin = issue_pin(*dats[i].state, dats[i].part->count);
         if (dats[i].write) {
             dats[i].state->bump_epoch();
         }
@@ -1083,22 +1150,28 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
 
     // Partition p's quarantine targets: the dat element spans a failure
     // of any of p's sub-nodes may have half-written — the spans of the
-    // dat partitions p reaches through each written argument. Every
-    // partition's targets are registered before the first sub-node is
-    // issued (a sub-node can fail the instant it is wired).
-    for (std::size_t p = 0; p < nparts; ++p) {
+    // dat partitions (at the dat's pinned granularity) p reaches through
+    // each written argument. Every partition's targets are registered
+    // before the first sub-node is issued (a sub-node can fail the
+    // instant it is wired).
+    {
+        std::size_t j = 0;
         for (op_arg const& a : grp->executor(0).args()) {
-            if (!a.dat.valid() || a.acc == op_access::OP_READ) {
+            std::size_t const i = arg_dat[j++];
+            if (i == static_cast<std::size_t>(-1) ||
+                a.acc == op_access::OP_READ) {
                 continue;
             }
             auto const* impl = &a.dat.internal();
-            auto const dp = a.dat.set().partition(nparts);
-            for_each_reached_part(a, grp->plan(p), p, nparts,
-                                  [&](std::size_t q) {
-                                      grp->add_quarantine_target(
-                                          p, {impl, dp->begin(q),
-                                              dp->end(q)});
-                                  });
+            set_partition const& dp = *dats[i].part;
+            for (std::size_t p = 0; p < nparts; ++p) {
+                for_each_reached_part(a, grp->plan(p), p, dp,
+                                      [&](std::size_t q) {
+                                          grp->add_quarantine_target(
+                                              p, {impl, dp.begin(q),
+                                                  dp.end(q)});
+                                      });
+            }
         }
     }
 
@@ -1140,10 +1213,12 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
                 continue;
             }
             bool const write = a.acc != op_access::OP_READ;
-            for_each_reached_part(a, plan, p, nparts, [&](std::size_t q) {
-                add_request(reqs, &dats[i].pin.records()[q], write,
-                            loop_tag, c);
-            });
+            for_each_reached_part(a, plan, p, *dats[i].part,
+                                  [&](std::size_t q) {
+                                      add_request(reqs,
+                                                  &dats[i].pin.records()[q],
+                                                  write, loop_tag, c);
+                                  });
             if (halos.active() && a.is_indirect() &&
                 (a.acc == op_access::OP_READ || a.acc == op_access::OP_RW)) {
                 // Halo-reading sub-node: wait for the landed imports of
@@ -1179,6 +1254,7 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
             join->depend_on(*t);
         }
     }
+    track_join(jref, grp->executor(0).args());
     join->schedule();
     return loop_handle(std::move(jref));
 }
@@ -1473,12 +1549,14 @@ class promise_node final : public dataflow_node {
 };
 
 /// A loop parked in a fusion window, with everything needed to issue
-/// it later (fused or solo).
+/// it later (fused or solo) — including its issuing context, since a
+/// fence on another thread may be the one that flushes it.
 struct deferred_issue {
     std::unique_ptr<fused_member> loop;
     hpxlite::threads::thread_pool* pool = nullptr;
     std::size_t nparts = 1;
     node_ref promise;
+    std::shared_ptr<runtime_context> ctx;
 };
 
 /// One issuing thread's fusion window: at most one deferred loop
@@ -1499,6 +1577,9 @@ inline std::vector<fusion_window*>& fusion_windows() {
 /// failure the promise is failed (waiters must not hang) and the error
 /// still propagates to the flushing caller.
 inline void flush_solo(std::unique_ptr<deferred_issue> d) {
+    // Issue under the loop's own context (plan namespace, combine lock,
+    // join tracking), not the flushing thread's.
+    context_scope scope(d->ctx);
     loop_handle h;
     try {
         h = d->loop->issue_solo(*d->pool, d->nparts);
@@ -1685,6 +1766,7 @@ inline loop_handle issue_fused(std::unique_ptr<fused_member> a,
     struct dat_entry {
         dep_state* state = nullptr;
         bool write = false;
+        std::shared_ptr<set_partition const> part;
         issue_pin pin;
     };
     std::vector<dat_entry> dats;
@@ -1702,6 +1784,7 @@ inline loop_handle issue_fused(std::unique_ptr<fused_member> a,
         if (i == dats.size()) {
             dats.emplace_back();
             dats[i].state = &st;
+            dats[i].part = x->dat.set().partition(nparts);
         }
         dats[i].write = dats[i].write || x->acc != op_access::OP_READ;
     }
@@ -1746,17 +1829,19 @@ inline loop_handle issue_fused(std::unique_ptr<fused_member> a,
             : 0;
 
     for (std::size_t p = 0; p < nparts; ++p) {
-        for (op_arg const* x : all) {
-            if (!x->dat.valid() || x->acc == op_access::OP_READ) {
+        for (std::size_t j = 0; j < all.size(); ++j) {
+            op_arg const* x = all[j];
+            if (arg_dat[j] == static_cast<std::size_t>(-1) ||
+                x->acc == op_access::OP_READ) {
                 continue;
             }
             auto const* impl = &x->dat.internal();
-            auto const dp = x->dat.set().partition(nparts);
-            for_each_reached_part(*x, grp->plan(p), p, nparts,
+            set_partition const& dp = *dats[arg_dat[j]].part;
+            for_each_reached_part(*x, grp->plan(p), p, dp,
                                   [&](std::size_t q) {
                                       grp->add_quarantine_target(
-                                          p, {impl, dp->begin(q),
-                                              dp->end(q)});
+                                          p, {impl, dp.begin(q),
+                                              dp.end(q)});
                                   });
         }
     }
@@ -1790,7 +1875,7 @@ inline loop_handle issue_fused(std::unique_ptr<fused_member> a,
                 continue;
             }
             bool const write = all[j]->acc != op_access::OP_READ;
-            for_each_reached_part(*all[j], plan, p, nparts,
+            for_each_reached_part(*all[j], plan, p, *dats[i].part,
                                   [&](std::size_t q) {
                                       add_request(
                                           reqs, &dats[i].pin.records()[q],
@@ -1801,6 +1886,7 @@ inline loop_handle issue_fused(std::unique_ptr<fused_member> a,
               pool);
         tail = std::move(sref);
     });
+    track_join(jref, aargs, bargs);
     join->schedule();
     // Resolve the deferred constituent's handle against the fused join.
     a_promise->depend_on(*join);
@@ -1867,6 +1953,7 @@ loop_handle fuse_or_defer(loop_options const& opts, char const* name,
     d->pool = &pool;
     d->nparts = nparts;
     d->promise = pref;
+    d->ctx = current_context();
     {
         std::lock_guard<hpxlite::util::spinlock> lk(w.mtx);
         w.pending = std::move(d);
@@ -1886,12 +1973,13 @@ loop_handle fuse_or_defer(loop_options const& opts, char const* name,
 ///    barrier at the end — the stock-OP2 OpenMP shape); returns ready.
 ///  * hpx_dataflow: the loop is *issued*, not executed — it enters the
 ///    epoch graph at partition granularity (loop_options::partitions
-///    sub-ranges of the set, one sub-node per (partition, colour), one
-///    per pool worker by default) and runs as its per-partition
-///    dependencies resolve; independent partitions of dependent loops
-///    overlap, and there is no global barrier. partitions = 1 keeps the
-///    whole-set single-node shape. Reduction results (op_arg_gbl) are
-///    valid only once the returned handle is ready.
+///    sub-ranges of the set, one sub-node per (partition, colour); by
+///    default the finest dataflow_partitions of the sets it touches)
+///    and runs as its per-partition dependencies resolve; independent
+///    partitions of dependent loops overlap, and there is no global
+///    barrier. partitions = 1 keeps the whole-set single-node shape.
+///    Reduction results (op_arg_gbl) are valid only once the returned
+///    handle is ready.
 template <typename Kernel, typename... Args>
 loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
                      Kernel kernel, Args... args) {
@@ -1978,8 +2066,22 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
                                  eff.staged_gather, d.prewarm);
                 }
             }
+            // A defaulted count follows the sizes of the loop's sets
+            // (per_set_partitions), and every dat keeps its records at
+            // its own set's granularity. Explicit and tuned counts,
+            // fusion and localities > 1 keep a uniform count for every
+            // dat — the differential oracles, the fused pass's one
+            // shape, and the halo classifier's partition grouping —
+            // where fusion and localities default to one per worker.
+            bool const per_set =
+                eff.partitions == 0 && !eff.fuse &&
+                comm::effective_localities(eff.localities,
+                                           static_cast<std::size_t>(-1)) <=
+                    1;
             std::size_t const nparts =
-                eff.partitions != 0 ? eff.partitions : pool.size();
+                eff.partitions != 0 ? eff.partitions
+                : per_set           ? detail::per_set_partitions(set, argv)
+                                    : pool.size();
             if (eff.fuse) {
                 // Fusion takes precedence over localities: a fused pass
                 // spans two loops' footprints, which the halo
@@ -2002,7 +2104,7 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
             }
             return detail::issue_partitioned<Kernel, n>(
                 eff, name, std::move(set), std::move(argv),
-                std::move(kernel), pool, nparts, nloc, probe);
+                std::move(kernel), pool, nparts, nloc, probe, per_set);
         }
     }
     return {};

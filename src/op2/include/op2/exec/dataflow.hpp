@@ -475,6 +475,68 @@ struct dep_writer {
     std::uint32_t color = 0;
 };
 
+/// The join nodes of the partitioned loops issued under one
+/// runtime_context, until seen complete. A join runs after its loop's
+/// sub-nodes — which the dat records track — and still has work to do:
+/// the op_timing row, the tuner report, releasing the loop's dat and
+/// set handles. Fences therefore wait on these as well as on the
+/// records. Each entry carries a 64-bit mask of its loop's dat ids
+/// (dat_bit), so a single-dat fence waits only for the joins of loops
+/// that may touch that dat (a hash collision only over-waits).
+class join_set {
+public:
+    /// A dat id's bit in a join's dat mask.
+    [[nodiscard]] static constexpr std::uint64_t dat_bit(
+        std::uint64_t dat_id) noexcept {
+        return std::uint64_t{1} << (dat_id % 64);
+    }
+
+    /// Track `join` (issue time, before the join is scheduled).
+    /// Completed entries are pruned once the set doubles, so the
+    /// amortised cost is one push per issue.
+    void add(node_ref join, std::uint64_t dat_mask) {
+        std::lock_guard<hpxlite::util::spinlock> lk(mtx_);
+        if (joins_.size() >= prune_at_) {
+            prune();
+        }
+        joins_.push_back({std::move(join), dat_mask});
+    }
+
+    /// Wait — helping the pool, like the record waits — for every join
+    /// added before the call whose dat mask meets `dat_mask` (~0: all).
+    void wait(std::uint64_t dat_mask = ~std::uint64_t{0}) {
+        std::vector<node_ref> snap;
+        {
+            std::lock_guard<hpxlite::util::spinlock> lk(mtx_);
+            prune();
+            for (auto const& e : joins_) {
+                if ((e.dats & dat_mask) != 0) {
+                    snap.push_back(e.join);
+                }
+            }
+        }
+        for (auto const& j : snap) {
+            j->wait();
+        }
+    }
+
+private:
+    struct entry {
+        node_ref join;
+        std::uint64_t dats = 0;
+    };
+    static constexpr std::size_t kMinPrune = 64;
+
+    void prune() {  // caller holds mtx_
+        std::erase_if(joins_, [](entry const& e) { return e.join->done(); });
+        prune_at_ = std::max(kMinPrune, 2 * joins_.size());
+    }
+
+    hpxlite::util::spinlock mtx_;
+    std::vector<entry> joins_;
+    std::size_t prune_at_ = kMinPrune;
+};
+
 /// Per-dat dependency record. `epoch` increases by one per writing
 /// *loop*; `writers` holds the node(s) that produce the current epoch
 /// and `readers` the loops reading it. Invariant (same as PR 1's future

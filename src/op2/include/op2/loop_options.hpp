@@ -73,7 +73,14 @@ struct loop_options {
     /// set is split into this many contiguous partitions and the loop is
     /// issued as one graph sub-node per (partition, colour), so
     /// independent partitions of *dependent* loops overlap in the epoch
-    /// graph. 0 means "one per pool worker". 1 pins whole-set
+    /// graph. 0 means "per set": every dat keeps its dependency records
+    /// at its own set's dataflow_partitions(|S|) = clamp(ceil(|S| /
+    /// dataflow_grain), 1, dataflow_max_partitions) (op2/set.hpp),
+    /// independent of the pool, and the loop is cut at the finest of
+    /// those among the sets it touches (iteration set and indirect
+    /// targets); a fusing or multi-locality loop keeps one partition
+    /// per pool worker instead. An explicit N applies N to the loop and
+    /// every dat it touches (uniform). 1 pins whole-set
     /// granularity (one node per loop — the PR 2 shape, kept as the
     /// differential oracle). Plans are built and cached per partition.
     /// op2::auto_tune delegates the count (and placement) to the online

@@ -10,8 +10,9 @@ namespace op2 {
 /// HPX dataflow backend (the paper's contribution, Section IV): the loop
 /// is *issued*, not executed — it enters the epoch graph at partition
 /// granularity (opts.partitions contiguous sub-ranges of the iteration
-/// set, one per pool worker by default; one intrusive sub-node per
-/// (partition, colour)) and each sub-node runs as soon as the dat
+/// set — by default the finest dataflow_partitions among the sets the
+/// loop touches; one intrusive sub-node per (partition, colour)) and
+/// each sub-node runs as soon as the dat
 /// *partitions* it touches are ready. Independent loops — and
 /// independent partitions of *dependent* loops — interleave
 /// automatically; there is no global barrier, and — unlike PR 1's

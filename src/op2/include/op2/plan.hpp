@@ -35,7 +35,9 @@ struct plan_stage {
 /// footprint. The dataflow backend turns these into per-partition
 /// dependency requests: a sub-node executing this plan edges on exactly
 /// the dat partitions it can touch, nothing more. Only present on plans
-/// built at partition granularity (npartitions > 1).
+/// built at partition granularity (npartitions > 1). Target partitions
+/// are counted at npartitions, or at the target set's own
+/// dataflow_partitions when the plan is per_set (plan_desc).
 struct plan_footprint {
     std::uint64_t map_id = 0;
     int idx = 0;
@@ -58,6 +60,13 @@ struct plan_desc {
     std::size_t npartitions = 1;
     /// Which partition this plan covers (< npartitions).
     std::size_t partition = 0;
+    /// Granularity of the footprints' *target* partitions: false counts
+    /// every indirect target set at npartitions (uniform mode — explicit
+    /// partition counts, the tuner, fusion, localities); true counts
+    /// each target set at its own dataflow_partitions (a defaulted
+    /// hpx_dataflow loop, whose dats keep their records at that
+    /// granularity). Only footprints differ, so colourings are shared.
+    bool per_set = false;
 };
 
 /// An execution plan for one (set, args, part_size) combination:
@@ -83,6 +92,7 @@ struct op_plan {
     /// Partition context the plan was built for.
     std::size_t npartitions = 1;
     std::size_t partition = 0;
+    bool per_set = false;  // footprint target granularity (plan_desc)
 
     std::vector<std::size_t> offset;  // [nblocks] first element of block
     std::vector<std::size_t> nelems;  // [nblocks] elements in block

@@ -47,6 +47,32 @@ struct set_partition {
     }
 };
 
+/// Elements per dataflow partition a defaulted hpx_dataflow loop aims
+/// for (16 blocks of default_part_size): see dataflow_partitions.
+/// Chosen from a sweep of 512-4096 on the Airfoil benchmark: finer
+/// grains were as fast on the small cold meshes but grew their peak
+/// RSS by more than 10%; coarser ones were slower there.
+inline constexpr std::size_t dataflow_grain = 2048;
+
+/// Upper bound on the partitions dataflow_partitions hands out.
+inline constexpr std::size_t dataflow_max_partitions = 64;
+
+/// The per-set dataflow granularity g(S) = clamp(ceil(|S| / grain), 1,
+/// cap): the granularity every dat keeps its dependency records at, and
+/// — taking the finest g among the sets a loop touches — how many
+/// partitions a defaulted (loop_options::partitions == 0) hpx_dataflow
+/// loop is cut into. It depends on set sizes alone — not on the pool —
+/// so large sets are over-decomposed into many short sub-nodes the pool
+/// load-balances, small sets stay at one or a few, plan keys stay pure,
+/// and loops over different sets that share a dat all agree on that
+/// dat's records.
+[[nodiscard]] constexpr std::size_t dataflow_partitions(
+    std::size_t set_size) noexcept {
+    std::size_t const g = (set_size + dataflow_grain - 1) / dataflow_grain;
+    return g < 1 ? 1 : (g > dataflow_max_partitions ? dataflow_max_partitions
+                                                     : g);
+}
+
 namespace detail {
 
 /// The deterministic bounds shared by every layer (see set_partition).
@@ -59,8 +85,8 @@ struct set_impl {
     std::uint64_t id = 0;
 
     // Cached partition descriptors, one per requested count. Loops reuse
-    // the same handful of counts (pool size, an explicit option, 1 for
-    // the whole-set oracle), so this stays tiny.
+    // the same handful of counts (the set's dataflow granularity, an
+    // explicit option, 1 for the whole-set oracle), so this stays tiny.
     std::mutex part_mtx;
     std::vector<std::shared_ptr<set_partition const>> part_cache;
 

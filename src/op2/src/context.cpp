@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include <op2/exec/dataflow.hpp>
+
 namespace op2 {
 
 namespace {
@@ -21,8 +23,14 @@ std::shared_ptr<runtime_context>& tls_context() {
 
 }  // namespace
 
+runtime_context::runtime_context()
+  : joins_(std::make_unique<exec::join_set>()) {}
+
 runtime_context::runtime_context(std::string name)
-  : id_(next_context_id()), name_(std::move(name)) {}
+  : id_(next_context_id()), name_(std::move(name)),
+    joins_(std::make_unique<exec::join_set>()) {}
+
+runtime_context::~runtime_context() = default;
 
 std::shared_ptr<runtime_context> const& runtime_context::default_context() {
     // Intentionally leaked (never destroyed): dats and dep_states

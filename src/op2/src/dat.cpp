@@ -44,34 +44,35 @@ op_dat make_dat(op_set s, int dim, std::size_t elem_bytes,
     if (bytes > 0) {
         if (first_touch) {
             // Partition-affine first touch: one init task per partition
-            // (at pool granularity, matching the dataflow placement
-            // mapping p % pool_size), fanned through the affinity
-            // inboxes so partition p's pages are written first by the
-            // worker its loops will be pinned to.
+            // at the set's dataflow granularity (the partitions a
+            // defaulted loop iterates and the dat's records follow),
+            // fanned through the affinity inboxes with the placement
+            // mapping p % pool_size, so partition p's pages are written
+            // first by the worker its sub-nodes are hinted to.
             auto& pool = hpxlite::get_pool();
+            std::size_t const gran = dataflow_partitions(impl->set.size());
             memory::first_touch_init(impl->data.data(), init, bytes,
-                                     *impl->set.partition(pool.size()),
-                                     stride, pool);
+                                     *impl->set.partition(gran), stride,
+                                     pool);
             // Keep the partition-affinity warm across dependency-table
             // granularity changes: when a loop re-partitions this dat's
             // records, sweep prefetches over the new partitions on
             // their owners (prefetch-only: cannot race the loops).
             // Damped two ways so an oscillating program (whole-set and
             // partitioned loops alternating on one dat) does not pay a
-            // full-dat prefetch fan-out per issue: only the pool-size
-            // granularity is warmed (the only one the placement hint
-            // p % pool_size targets), and only when it differs from the
-            // last granularity warmed.
+            // full-dat prefetch fan-out per issue: only the dataflow
+            // granularity is warmed (the one first touch placed), and
+            // only when it differs from the last granularity warmed.
             std::weak_ptr<dat_impl> wp = impl;
             auto last_warmed = std::make_shared<std::atomic<std::size_t>>(0);
-            impl->dep.repartition_hook = [wp, stride,
+            impl->dep.repartition_hook = [wp, stride, gran,
                                           last_warmed](std::size_t parts) {
                 auto p = wp.lock();
                 if (!p || p->data.empty()) {
                     return;
                 }
                 auto& wpool = hpxlite::get_pool();
-                if (parts != wpool.size() ||
+                if (parts != gran ||
                     last_warmed->exchange(parts,
                                           std::memory_order_relaxed) ==
                         parts) {

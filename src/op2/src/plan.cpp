@@ -80,6 +80,7 @@ struct plan_key {
     bool staged_gather = true;
     std::size_t npartitions = 1;
     std::size_t partition = 0;
+    bool per_set = false;
     // (map id, slot, stride, mutating) per indirect argument class.
     std::vector<std::tuple<std::uint64_t, int, std::size_t, bool>> refs;
 
@@ -88,7 +89,7 @@ struct plan_key {
                part_size == o.part_size &&
                staged_gather == o.staged_gather &&
                npartitions == o.npartitions && partition == o.partition &&
-               refs == o.refs;
+               per_set == o.per_set && refs == o.refs;
     }
 };
 
@@ -104,6 +105,7 @@ struct plan_key_hash {
         mix(k.staged_gather ? 1 : 0);
         mix(k.npartitions);
         mix(k.partition);
+        mix(k.per_set ? 1 : 0);
         for (auto const& [id, idx, stride, mut] : k.refs) {
             mix(id);
             mix(static_cast<std::uint64_t>(idx));
@@ -123,6 +125,7 @@ plan_key make_key(op_set const& set, plan_desc const& desc,
     key.staged_gather = desc.staged_gather;
     key.npartitions = desc.npartitions;
     key.partition = desc.partition;
+    key.per_set = desc.per_set;
     key.refs.reserve(refs.size());
     for (auto const& r : refs) {
         key.refs.emplace_back(r.map.id(), r.idx, r.stride, r.mutating);
@@ -399,15 +402,20 @@ void build_stages(op_plan& plan, std::vector<stage_ref> const& refs) {
 }
 
 /// Compute the map-derived partition footprints: which partitions of
-/// each indirect target set the plan's element range reaches. One entry
-/// per distinct (map, slot); strides are irrelevant to reachability.
+/// each indirect target set the plan's element range reaches, counted
+/// at the target granularity the plan was built for (plan_desc::per_set).
+/// One entry per distinct (map, slot); strides are irrelevant to
+/// reachability.
 void build_footprints(op_plan& plan, std::vector<stage_ref> const& refs) {
     for (auto const& r : refs) {
         if (plan.find_footprint(r.map.id(), r.idx) != nullptr) {
             continue;
         }
-        auto const tpart = r.map.to().partition(plan.npartitions);
-        std::vector<bool> touched(plan.npartitions, false);
+        std::size_t const tparts =
+            plan.per_set ? dataflow_partitions(r.map.to().size())
+                         : plan.npartitions;
+        auto const tpart = r.map.to().partition(tparts);
+        std::vector<bool> touched(tparts, false);
         for (std::size_t e = 0; e < plan.set_size; ++e) {
             auto const t = static_cast<std::size_t>(
                 r.map(plan.elem_base + e, r.idx));
@@ -416,7 +424,7 @@ void build_footprints(op_plan& plan, std::vector<stage_ref> const& refs) {
         plan_footprint fp;
         fp.map_id = r.map.id();
         fp.idx = r.idx;
-        for (std::size_t p = 0; p < plan.npartitions; ++p) {
+        for (std::size_t p = 0; p < tparts; ++p) {
             if (touched[p]) {
                 fp.parts.push_back(static_cast<std::uint32_t>(p));
             }
@@ -431,6 +439,7 @@ op_plan plan_build_impl(op_set const& set, plan_desc const& desc,
     plan.part_size = desc.part_size;
     plan.npartitions = desc.npartitions;
     plan.partition = desc.partition;
+    plan.per_set = desc.per_set;
     if (desc.npartitions > 1) {
         auto const part = set.partition(desc.npartitions);
         plan.elem_base = part->begin(desc.partition);
@@ -490,13 +499,17 @@ op_plan plan_build_impl(op_set const& set, plan_desc const& desc,
 
 /// Validate + normalise a caller-supplied desc (part_size 0 and
 /// default_part_size are the same configuration and must share one
-/// cache entry; partition bounds must be sane).
+/// cache entry, and so do the per_set and uniform whole-set plans;
+/// partition bounds must be sane).
 plan_desc normalise(plan_desc desc) {
     if (desc.part_size == 0) {
         desc.part_size = default_part_size;
     }
     if (desc.npartitions == 0) {
         desc.npartitions = 1;
+    }
+    if (desc.npartitions == 1) {
+        desc.per_set = false;  // whole-set plans carry no footprints
     }
     if (desc.partition >= desc.npartitions) {
         throw std::invalid_argument("plan: partition index out of range");

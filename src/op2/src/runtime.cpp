@@ -3,6 +3,7 @@
 #include <mutex>
 
 #include <hpxlite/util/env.hpp>
+#include <op2/context.hpp>
 #include <op2/exec/dataflow.hpp>
 
 namespace op2 {
@@ -61,6 +62,9 @@ void op_fence(op_dat const& d) {
     // fence must force it into the graph first or it would be missed.
     exec::fusion_flush_point();
     fence_impl(const_cast<op_dat&>(d).internal());
+    // Then the joins of the loops that may touch d: each still writes
+    // its timing row and releases its handles after the sub-nodes.
+    current_context()->joins().wait(exec::join_set::dat_bit(d.id()));
 }
 
 void op_fence_all() {
@@ -68,6 +72,7 @@ void op_fence_all() {
     for (auto const& di : detail::all_dats()) {
         fence_impl(*di);
     }
+    current_context()->joins().wait();
 }
 
 }  // namespace op2

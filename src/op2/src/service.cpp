@@ -87,10 +87,11 @@ double price_job(job_desc const& d, std::size_t pool_threads) {
                         static_cast<double>(iters));
 }
 
-/// Drain every live dat declared under `ctx`: the per-context
-/// equivalent of op_fence_all (same snapshot-then-wait discipline as
-/// runtime.cpp's fence_impl). Dats the job's program already destroyed
-/// were its own responsibility to fence — the standard op2 contract.
+/// Drain every live dat declared under `ctx`, then the joins of the
+/// loops issued under it: the per-context equivalent of op_fence_all
+/// (same snapshot-then-wait discipline as runtime.cpp's fence_impl).
+/// Dats the job's program already destroyed were its own
+/// responsibility to fence — the standard op2 contract.
 void fence_context(runtime_context const& ctx) {
     std::vector<exec::node_ref> nodes;
     for (auto const& di : op2::detail::all_dats()) {
@@ -105,6 +106,7 @@ void fence_context(runtime_context const& ctx) {
             }
         }
     }
+    ctx.joins().wait();
 }
 
 /// Strict submission order: always the head of the queue.

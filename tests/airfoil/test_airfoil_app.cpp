@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
 #include <airfoil/app.hpp>
@@ -144,13 +145,70 @@ TEST_F(AirfoilAppTest, DestroyedProblemLeavesNoCachedPlans) {
         first = airfoil::run(p, cfg).q_final;
         EXPECT_GT(op2::plan_cache_size(), before);
     }
-    // The fence waits for the sub-nodes; each loop's join node drops
-    // its set handles just after, on a worker.
-    hpxlite::get_pool().wait_idle();
+    // run() fences, and the fence waits for each loop's join too —
+    // the node that drops the loop's set handles.
     EXPECT_EQ(op2::plan_cache_size(), before);
 
     airfoil::problem p = airfoil::make_problem(m);
     EXPECT_EQ(airfoil::run(p, cfg).q_final, first);
+}
+
+/// A defaulted hpx run keeps every dat's dependency records at its own
+/// set's granularity, so loops over cells, edges and bedges share q,
+/// adt and res with zero re-partitions (no drain in dep_state::pin
+/// serialising the issue-ahead chain) — on meshes where the three sets
+/// get three different granularities, with bedges at several
+/// partitions and at one (bres_calc is cut finer than its bound dat
+/// either way) — and the run still matches seq under the HpxMatchesSeq
+/// bound. (OP2HPX_AUTOTUNE routes defaulted loops through the tuner's
+/// ladder instead, which re-partitions by design.)
+TEST_F(AirfoilAppTest, DefaultedHpxRunNeverRepartitions) {
+    for (airfoil::mesh_params const mp :
+         {airfoil::mesh_params{.nx = 1040, .ny = 8},
+          airfoil::mesh_params{.nx = 96, .ny = 48}}) {
+        auto const m = airfoil::make_mesh(mp);
+        std::size_t const gc = op2::dataflow_partitions(m.ncell);
+        std::size_t const ge = op2::dataflow_partitions(m.nedge);
+        std::size_t const gb = op2::dataflow_partitions(m.nbedge);
+        ASSERT_TRUE(gc != ge && ge != gb && gc != gb)
+            << gc << " " << ge << " " << gb;
+
+        auto cfg = small_config(op2::backend::hpx);
+        cfg.mesh = mp;
+        cfg.niter = 6;
+        cfg.rms_stride = 1;
+        cfg.opts.fuse = false;
+        cfg.opts.localities = 1;
+        auto scfg = cfg;
+        scfg.be = op2::backend::seq;
+        auto const seq = airfoil::run(scfg);
+
+        airfoil::problem p = airfoil::make_problem(m);
+        std::atomic<std::size_t> repartitions{0};
+        for (op2::op_dat d :
+             {p.p_bound, p.p_x, p.p_q, p.p_qold, p.p_adt, p.p_res}) {
+            d.internal().dep.repartition_hook = [&](std::size_t) {
+                repartitions.fetch_add(1);
+            };
+        }
+        auto const hx = airfoil::run(p, cfg);
+        if (!op2::tune::autotune_default()) {
+            EXPECT_EQ(repartitions.load(), 0u)
+                << "mesh " << mp.nx << "x" << mp.ny;
+            EXPECT_EQ(p.p_res.internal().dep.table().second, gc);
+            EXPECT_EQ(p.p_bound.internal().dep.table().second, gb);
+        }
+        ASSERT_EQ(seq.rms_history.size(), hx.rms_history.size());
+        for (std::size_t i = 0; i < seq.rms_history.size(); ++i) {
+            EXPECT_NEAR(hx.rms_history[i], seq.rms_history[i],
+                        1e-9 * (1.0 + seq.rms_history[i]));
+        }
+        ASSERT_EQ(seq.q_final.size(), hx.q_final.size());
+        for (std::size_t i = 0; i < seq.q_final.size(); ++i) {
+            ASSERT_NEAR(hx.q_final[i], seq.q_final[i],
+                        1e-8 * (1.0 + std::fabs(seq.q_final[i])));
+        }
+    }
 }
 
 TEST_F(AirfoilAppTest, InvalidIterationCountThrows) {

@@ -18,6 +18,8 @@
 #include <hpxlite/runtime.hpp>
 #include <op2/op2.hpp>
 
+#include "gate_loop.hpp"
+
 using namespace op2;
 
 namespace {
@@ -351,12 +353,14 @@ TEST_F(ExecBackendTest, DependentLoopsOverlapOnDisjointPartitions) {
 /// placement = affinity every partition's sub-nodes must execute on
 /// worker partition % pool_size. Stealing makes a naive version of this
 /// racy (an early-waking worker could rob a slow one's inbox), so the
-/// scenario forces determinism: spinning blockers occupy all four
-/// workers while the loop is issued — the pinned sub-nodes sit
-/// untouchable in their target inboxes — and each sub-node then spins
-/// until all four are claimed. A worker's first pop after its blocker
-/// releases is its own inbox, so the claims are exactly the pinned
-/// assignments; only then does the main thread start helping.
+/// scenario forces determinism with the gate-loop protocol
+/// (gate_loop.hpp): a gate loop holds all four workers while the loop
+/// is issued — the pinned sub-nodes sit untouchable in their target
+/// inboxes — and each sub-node then spins until all four are claimed.
+/// A worker's first pop after its gate sub-node finishes is its own
+/// deque (at most the gate's join) and then its own inbox, so the
+/// claims are exactly the pinned assignments; only then does the main
+/// thread start helping. Every spin is deadline-bounded.
 TEST_F(ExecBackendTest, AffinityPlacementPinsSubNodesToWorkers) {
     constexpr std::size_t kN = 400;  // 4 partitions of 100
     auto& pool = hpxlite::get_pool();
@@ -378,19 +382,8 @@ TEST_F(ExecBackendTest, AffinityPlacementPinsSubNodesToWorkers) {
     std::atomic<std::size_t> claimed{0};
     std::atomic<bool> gave_up{false};
 
-    std::atomic<std::size_t> blockers_running{0};
-    std::atomic<bool> release{false};
-    for (std::size_t i = 0; i < 4; ++i) {
-        pool.submit([&] {
-            blockers_running.fetch_add(1);
-            while (!release.load(std::memory_order_acquire)) {
-                std::this_thread::yield();
-            }
-        });
-    }
-    while (blockers_running.load() < 4) {
-        std::this_thread::yield();
-    }
+    op2::testing::worker_gate gate(4);
+    ASSERT_TRUE(gate.holding()) << "the gate never held all four workers";
 
     loop_options o = opts_;
     o.backend = exec::backend_kind::hpx_dataflow;
@@ -398,7 +391,7 @@ TEST_F(ExecBackendTest, AffinityPlacementPinsSubNodesToWorkers) {
     o.part_size = 100;
     o.placement = placement_kind::affinity;
     // The test spin-waits on this loop's sub-nodes while all workers
-    // are blocked; a fusion-window deferral would never reach a flush
+    // are held; a fusion-window deferral would never reach a flush
     // point — pin fusion off (worker pinning is an unfused property).
     o.fuse = false;
     auto h = exec::run_loop(
@@ -430,11 +423,14 @@ TEST_F(ExecBackendTest, AffinityPlacementPinsSubNodesToWorkers) {
         op_arg_dat(idx, -1, OP_ID, 1, "double", OP_READ),
         op_arg_dat(d, -1, OP_ID, 1, "double", OP_WRITE));
 
-    release.store(true, std::memory_order_release);
+    gate.release();
     // Do not help before every sub-node is claimed by its own worker:
     // run_loop's handle (and op_fence) steal as a fallback, which would
     // legitimately run a pinned node on the main thread.
-    while (claimed.load() < 4 && !gave_up.load()) {
+    auto const deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (claimed.load() < 4 && !gave_up.load() &&
+           std::chrono::steady_clock::now() < deadline) {
         std::this_thread::yield();
     }
     h.get();

@@ -1,8 +1,9 @@
 // Tests for the locality-aware memory layer (op2/memory.hpp): the
 // cache-line-aligned buffer every dat allocates through, the
 // partition-affine touch-range geometry, and — trace-based, with the
-// blocker protocol of the PR 4 placement test — that partition-affine
-// first touch really writes each partition's pages on its owning worker.
+// gate-loop protocol of the placement test (gate_loop.hpp) — that
+// partition-affine first touch really writes each partition of the
+// set's dataflow granularity on its owning worker p % pool_size.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,8 @@
 #include <hpxlite/runtime.hpp>
 #include <op2/memory.hpp>
 #include <op2/op2.hpp>
+
+#include "gate_loop.hpp"
 
 using namespace op2;
 namespace mem = op2::memory;
@@ -175,25 +178,31 @@ TEST_F(FirstTouch, InitialisesContentsExactly) {
 }
 
 /// The first-touch smoke test, as a deterministic scheduler trace (the
-/// placement-test blocker protocol): all four workers are held by
-/// spinning blockers while the dat is declared, so the four touch tasks
-/// sit untouchable in their target inboxes; a helper thread releases the
-/// blockers once all four are enqueued, and each touch task then spins
-/// (via the trace's on_touch rendezvous) until all four are claimed — a
-/// worker's first post-blocker pop is its own inbox, so the recorded
-/// workers are exactly the partition owners p % pool_size.
+/// gate-loop protocol): a gate loop holds all four workers while the
+/// dat is declared, so the touch tasks — one per partition of the set's
+/// dataflow granularity, 8 here, two per worker inbox — sit untouchable
+/// in their target inboxes. A helper thread releases the gate once all
+/// of them are enqueued. Each touch task then spins (via the trace's
+/// on_touch rendezvous) until its whole round of four is claimed, so no
+/// worker is ever free to rob another's inbox: every worker pops only
+/// its own inbox, and the recorded workers are exactly the partition
+/// owners p % pool_size, whatever order an inbox pops in.
 TEST_F(FirstTouch, TouchTasksRunOnTheirOwningWorkers) {
     auto& pool = hpxlite::get_pool();
     ASSERT_EQ(pool.size(), 4u);
+    constexpr std::size_t kParts = 8;
+    constexpr std::size_t kSize = kParts * dataflow_grain;
+    static_assert(dataflow_partitions(kSize) == kParts);
 
     mem::first_touch_trace trace;
     std::atomic<std::size_t> claimed{0};
     std::atomic<bool> gave_up{false};
     trace.on_touch = [&](std::size_t) {
-        claimed.fetch_add(1);
+        std::size_t const k = claimed.fetch_add(1) + 1;
+        std::size_t const round_end = (k + 3) / 4 * 4;
         auto const deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(10);
-        while (claimed.load(std::memory_order_acquire) < 4 &&
+        while (claimed.load(std::memory_order_acquire) < round_end &&
                !gave_up.load(std::memory_order_relaxed)) {
             if (std::chrono::steady_clock::now() > deadline) {
                 gave_up.store(true, std::memory_order_relaxed);
@@ -202,40 +211,32 @@ TEST_F(FirstTouch, TouchTasksRunOnTheirOwningWorkers) {
             std::this_thread::yield();
         }
     };
-    mem::set_first_touch_trace(&trace);
 
-    std::atomic<std::size_t> blockers_running{0};
-    std::atomic<bool> release{false};
-    for (std::size_t i = 0; i < 4; ++i) {
-        pool.submit([&] {
-            blockers_running.fetch_add(1);
-            while (!release.load(std::memory_order_acquire)) {
-                std::this_thread::yield();
-            }
-        });
-    }
-    while (blockers_running.load() < 4) {
-        std::this_thread::yield();
-    }
+    op2::testing::worker_gate gate(4);
+    ASSERT_TRUE(gate.holding()) << "the gate never held all four workers";
+    mem::set_first_touch_trace(&trace);
     // op_decl_dat blocks this thread inside first_touch_init, so the
-    // blockers are released from a helper once all touches are enqueued.
+    // gate is released from a helper once all touches are enqueued.
     std::thread releaser([&] {
-        while (trace.enqueued.load(std::memory_order_acquire) < 4) {
+        auto const deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (trace.enqueued.load(std::memory_order_acquire) < kParts &&
+               std::chrono::steady_clock::now() < deadline) {
             std::this_thread::yield();
         }
-        release.store(true, std::memory_order_release);
+        gate.release();
     });
 
     mem::set_first_touch(true);
-    auto s = op_decl_set(4096, "cells");
+    auto s = op_decl_set(kSize, "cells");
     auto d = op_decl_dat_zero<double>(s, 1, "double", "traced");
     releaser.join();
 
     ASSERT_FALSE(gave_up.load())
-        << "the four touch tasks never ran concurrently";
-    ASSERT_EQ(trace.worker.size(), 4u);
-    for (std::size_t p = 0; p < 4; ++p) {
-        EXPECT_EQ(trace.worker[p], static_cast<long>(p))
+        << "the touch tasks of a round never ran concurrently";
+    ASSERT_EQ(trace.worker.size(), kParts);
+    for (std::size_t p = 0; p < kParts; ++p) {
+        EXPECT_EQ(trace.worker[p], static_cast<long>(p % pool.size()))
             << "partition " << p << " was touched off its owner";
     }
     for (double x : d.view<double>()) {
@@ -256,18 +257,21 @@ TEST_F(FirstTouch, WarmPartitionsIsHarmless) {
 }
 
 /// Re-partition hook end to end: declaring a dat with first touch on
-/// installs the warm hook; a granularity excursion (pool-size -> 2 ->
-/// pool-size) re-partitions the dependency table twice, and the return
-/// to pool granularity fires the (prefetch-only, damped) warm sweep —
-/// all without disturbing results.
+/// installs the warm hook; a granularity excursion (the set's dataflow
+/// granularity -> 4 -> dataflow granularity) re-partitions the
+/// dependency table twice, and the return to the dataflow granularity
+/// fires the (prefetch-only, damped) warm sweep — all without
+/// disturbing results.
 TEST_F(FirstTouch, RepartitionWarmsWithoutChangingResults) {
     mem::set_first_touch(true);
-    auto s = op_decl_set(2048, "cells");
+    auto s = op_decl_set(2 * dataflow_grain, "cells");
     auto d = op_decl_dat_zero<double>(s, 1, "double", "rp_d");
     loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
     auto kern = [](double* x) { *x += 1.0; };
-    for (std::size_t parts : {4u, 2u, 4u}) {
+    std::size_t const gran = dataflow_partitions(s.size());
+    ASSERT_NE(gran, 4u);
+    for (std::size_t parts : {gran, std::size_t{4}, gran}) {
         o.partitions = parts;
         exec::run_loop(o, "rp", s, kern,
                        op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW))

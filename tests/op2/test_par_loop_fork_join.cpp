@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -181,6 +182,14 @@ struct FJParam {
     std::size_t part_size;
     int chunker;
 };
+
+// Names the case by its fields: gtest's default printer dumps the raw
+// bytes, padding included, so the ctest name would vary between builds.
+void PrintTo(FJParam const& p, std::ostream* os) {
+    static char const* const kChunkers[] = {"static", "static1", "dynamic4",
+                                            "auto", "persistent_auto"};
+    *os << "part" << p.part_size << "_" << kChunkers[p.chunker];
+}
 
 class ForkJoinSweep : public ::testing::TestWithParam<FJParam> {
 protected:
