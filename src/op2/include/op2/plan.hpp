@@ -92,7 +92,6 @@ struct op_plan {
     /// Partition context the plan was built for.
     std::size_t npartitions = 1;
     std::size_t partition = 0;
-    bool per_set = false;  // footprint target granularity (plan_desc)
 
     std::vector<std::size_t> offset;  // [nblocks] first element of block
     std::vector<std::size_t> nelems;  // [nblocks] elements in block

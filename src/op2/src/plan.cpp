@@ -403,16 +403,17 @@ void build_stages(op_plan& plan, std::vector<stage_ref> const& refs) {
 
 /// Compute the map-derived partition footprints: which partitions of
 /// each indirect target set the plan's element range reaches, counted
-/// at the target granularity the plan was built for (plan_desc::per_set).
+/// at the target granularity `per_set` selects (plan_desc::per_set).
 /// One entry per distinct (map, slot); strides are irrelevant to
 /// reachability.
-void build_footprints(op_plan& plan, std::vector<stage_ref> const& refs) {
+void build_footprints(op_plan& plan, std::vector<stage_ref> const& refs,
+                      bool per_set) {
     for (auto const& r : refs) {
         if (plan.find_footprint(r.map.id(), r.idx) != nullptr) {
             continue;
         }
         std::size_t const tparts =
-            plan.per_set ? dataflow_partitions(r.map.to().size())
+            per_set ? dataflow_partitions(r.map.to().size())
                          : plan.npartitions;
         auto const tpart = r.map.to().partition(tparts);
         std::vector<bool> touched(tparts, false);
@@ -439,7 +440,6 @@ op_plan plan_build_impl(op_set const& set, plan_desc const& desc,
     plan.part_size = desc.part_size;
     plan.npartitions = desc.npartitions;
     plan.partition = desc.partition;
-    plan.per_set = desc.per_set;
     if (desc.npartitions > 1) {
         auto const part = set.partition(desc.npartitions);
         plan.elem_base = part->begin(desc.partition);
@@ -462,7 +462,7 @@ op_plan plan_build_impl(op_set const& set, plan_desc const& desc,
         build_stages(plan, refs);
     }
     if (desc.npartitions > 1) {
-        build_footprints(plan, refs);
+        build_footprints(plan, refs, desc.per_set);
     }
 
     std::vector<stage_ref> color_refs;
